@@ -1,10 +1,17 @@
 """Generalized cellular-automaton engine: rules, synchronous stepping,
-history runs, and pattern classification.
+streamed runs, and pattern classification.
 
 Rules are count-based birth/survival sets over the grid topology's
 neighborhood, with an optional number of live "colors" (states >= 2).
 The update is synchronous: generation t+1 is a pure function of
-generation t.
+generation t. ``run`` returns an iterator of generations; keep a whole
+history with ``history = list(run(grid, rule, n))``.
+
+Two engines share the work, chosen from the input alone. Two-state rules
+on grids whose live cells all have state 1 step on a bit-parallel board
+(one Python int, neighbor counts summed by bit-sliced adders, the
+technique of Golly's engines); colored rules and colored grids step on
+the sparse coordinate map.
 """
 
 from __future__ import annotations
@@ -12,10 +19,9 @@ from __future__ import annotations
 import re
 from collections import Counter
 from dataclasses import dataclass
+from typing import Iterator
 
 from .grid import Coordinate, Grid, Topology
-
-History = list[Grid]
 
 
 class RuleError(ValueError):
@@ -113,13 +119,12 @@ def _newborn_state(coord: Coordinate, cells, offsets, states: int) -> int:
     return min(c for c, n in tally.items() if n == best)
 
 
-def step(grid: Grid, rule: RuleSet = CONWAY_LIFE) -> Grid:
-    """Advance one generation synchronously.
+def _dict_step(grid: Grid, rule: RuleSet) -> Grid:
+    """One generation of the sparse engine, for rules and grids with colors.
 
     Only live cells and their neighbors are candidates; with 0 excluded
     from the birth set (enforced by RuleSet) no other cell can change.
     """
-    _validate_rule(rule, grid.topology)
     cells = grid.cells
     offsets = grid.topology.offsets
     counts = Counter(
@@ -140,19 +145,164 @@ def step(grid: Grid, rule: RuleSet = CONWAY_LIFE) -> Grid:
         for coord, state in cells.items():
             if coord not in counts:
                 nxt[coord] = state
-    return Grid(nxt, topology=grid.topology)
+    return Grid._trusted(nxt, grid.topology)
 
 
-def run(grid: Grid, rule: RuleSet = CONWAY_LIFE, generations: int = 0) -> History:
-    """Run ``generations`` steps and return all snapshots, generation 0 first."""
+# Set-bit offsets of each byte value, lowest bit first.
+_BYTE_BITS = tuple(tuple(k for k in range(8) if v >> k & 1) for v in range(256))
+
+# Empty border, in cells, that a re-pack leaves around the live cells: a
+# wider one re-packs less often but makes every step work on more bits.
+_MARGIN = 8
+
+
+class _Board:
+    """The live cells of a two-state grid packed into one Python int.
+
+    Bit ``(y - oy) * stride + (x - ox)`` is cell (x, y), in a region of
+    ``stride`` columns (a multiple of 8, so each row is whole bytes) by
+    ``height`` rows. The origin moves whenever the board is re-packed, so
+    the lattice stays unbounded.
+    """
+
+    __slots__ = ("topology", "bits", "stride", "height", "ox", "oy", "ring")
+
+    def __init__(self, grid: Grid):
+        self.topology = grid.topology
+        self._pack(list(grid.cells))
+
+    def _pack(self, coords: list[Coordinate]) -> None:
+        if coords:
+            xs = [x for x, _ in coords]
+            ys = [y for _, y in coords]
+            min_x, max_x, min_y, max_y = min(xs), max(xs), min(ys), max(ys)
+        else:
+            min_x = max_x = min_y = max_y = 0
+        ox, oy = min_x - _MARGIN, min_y - _MARGIN
+        stride = -(-(max_x - ox + 1 + _MARGIN) // 8) * 8
+        height = max_y - oy + 1 + _MARGIN
+        buf = bytearray(stride * height // 8)
+        for x, y in coords:
+            i = (y - oy) * stride + x - ox
+            buf[i >> 3] |= 1 << (i & 7)
+        row = (1 << stride) - 1
+        edge_columns = (1 | 1 << (stride - 1)).to_bytes(stride // 8, "little") * height
+        self.bits = int.from_bytes(buf, "little")
+        self.stride, self.height, self.ox, self.oy = stride, height, ox, oy
+        # Row 0, the last row, column 0 and column stride - 1.
+        self.ring = int.from_bytes(edge_columns, "little") | row | row << (height - 1) * stride
+
+    def coords(self) -> list[Coordinate]:
+        """Live cells, row by row."""
+        out: list[Coordinate] = []
+        append = out.append
+        data = self.bits.to_bytes(self.stride * self.height // 8, "little")
+        row_bytes = self.stride // 8
+        blank = bytes(row_bytes)
+        y = self.oy
+        for start in range(0, len(data), row_bytes):
+            row = data[start : start + row_bytes]
+            if row != blank:
+                x0 = self.ox
+                for byte in row:
+                    if byte:
+                        for k in _BYTE_BITS[byte]:
+                            append((x0 + k, y))
+                    x0 += 8
+            y += 1
+        return out
+
+    def grid(self) -> Grid:
+        return Grid._trusted(dict.fromkeys(self.coords(), 1), self.topology)
+
+    def step(self, rule: RuleSet) -> None:
+        """Advance one generation in place.
+
+        A live cell on the ring would carry across a row end, or below row
+        0, when the neighbor planes are shifted; re-packing first keeps the
+        ring empty, so every shifted-in bit is a dead cell. Births may then
+        land on the ring, and the next step re-packs.
+        """
+        if self.bits & self.ring:
+            self._pack(self.coords())
+        b, s = self.bits, self.stride
+        # Neighbor offset (dx, dy) is a shift by dx + dy * stride; both
+        # neighborhoods are symmetric, so each shift is taken both ways.
+        # Hex (axial) is Moore without (-1, -1) and (1, 1), i.e. +-(stride + 1).
+        shifts = (1, s - 1, s, s + 1) if self.topology is Topology.SQUARE else (1, s - 1, s)
+        # Bit-sliced 4-bit neighbor count (n3 n2 n1 n0), one ripple add per plane.
+        n0 = n1 = n2 = n3 = 0
+        for k in shifts:
+            for plane in (b >> k, b << k):
+                c0 = n0 & plane
+                n0 ^= plane
+                c1 = n1 & c0
+                n1 ^= c0
+                n3 |= n2 & c1
+                n2 ^= c1
+
+        def count_is(c: int) -> int:
+            if c == 8:
+                return n3
+            if c == 0:
+                return ~(n0 | n1 | n2 | n3)
+            # A count of 8 has low bits 000, so it never matches 1..7.
+            return (n0 if c & 1 else ~n0) & (n1 if c & 2 else ~n1) & (n2 if c & 4 else ~n2)
+
+        born = survive = 0
+        for c in rule.birth:
+            born |= count_is(c)
+        for c in rule.survival:
+            survive |= count_is(c)
+        self.bits = (born & ~b) | (survive & b)
+
+
+def _two_state(grid: Grid, rule: RuleSet) -> bool:
+    """Whether the bitboard engine can run: no cell needs a color."""
+    return rule.states == 2 and set(grid.cells.values()) <= {1}
+
+
+def step(grid: Grid, rule: RuleSet = CONWAY_LIFE) -> Grid:
+    """Advance one generation synchronously.
+
+    Two-state rules on grids whose live cells all have state 1 run on a
+    bitboard; colored rules and grids run on the sparse engine, where
+    survivors keep their color.
+    """
+    _validate_rule(rule, grid.topology)
+    if _two_state(grid, rule):
+        board = _Board(grid)
+        board.step(rule)
+        return board.grid()
+    return _dict_step(grid, rule)
+
+
+def run(grid: Grid, rule: RuleSet = CONWAY_LIFE, generations: int = 0) -> Iterator[Grid]:
+    """Yield generations 0 (``grid`` itself) through ``generations``.
+
+    Each generation is computed when the iterator reaches it, so a caller
+    that needs the whole history keeps it with ``list(run(...))``.
+    """
     if generations < 0:
         raise ValueError(f"generation count must be >= 0, got {generations}")
-    history = [grid]
-    current = grid
-    for _ in range(generations):
-        current = step(current, rule)
-        history.append(current)
-    return history
+    if generations:
+        _validate_rule(rule, grid.topology)
+    return _generations(grid, rule, generations)
+
+
+def _generations(grid: Grid, rule: RuleSet, generations: int) -> Iterator[Grid]:
+    yield grid
+    if _two_state(grid, rule):
+        # The board carries over between generations; only the yielded
+        # grids are decoded from it.
+        board = _Board(grid)
+        for _ in range(generations):
+            board.step(rule)
+            yield board.grid()
+    else:
+        for _ in range(generations):
+            grid = _dict_step(grid, rule)
+            yield grid
 
 
 def classify_pattern(grid: Grid, rule: RuleSet = CONWAY_LIFE, horizon: int = 64) -> PatternClass:
@@ -165,9 +315,9 @@ def classify_pattern(grid: Grid, rule: RuleSet = CONWAY_LIFE, horizon: int = 64)
         raise ValueError(f"horizon must be >= 1, got {horizon}")
     start_canon = grid.canonicalize()
     start_box = grid.bounding_box()
-    current = grid
-    for k in range(1, horizon + 1):
-        current = step(current, rule)
+    generations = run(grid, rule, horizon)
+    next(generations)  # generation 0 is the pattern itself
+    for k, current in enumerate(generations, start=1):
         if k == 1 and current == grid:
             return PatternClass(kind="still-life")
         if current.canonicalize() == start_canon:

@@ -171,22 +171,23 @@ def _cmd_life_run(args) -> int:
     if args.topology == "hex":
         grid = Grid(dict(grid.cells), topology=Topology.HEX)
     gens = args.gens if args.gens is not None else 0
-    history = run(grid, rule, gens)
-    if args.frames:
-        frames_dir = Path(args.frames)
+    frames_dir = Path(args.frames) if args.frames else None
+    if frames_dir:
         frames_dir.mkdir(parents=True, exist_ok=True)
-        for i, g in enumerate(history):
-            (frames_dir / f"frame_{i:06d}.txt").write_text(encode_pattern(g, "plaintext"))
+    populations = []
+    for i, final in enumerate(run(grid, rule, gens)):
+        if frames_dir:
+            (frames_dir / f"frame_{i:06d}.txt").write_text(encode_pattern(final, "plaintext"))
+        populations.append(final.population)
     if args.out:
         out_path = Path(args.out)
         fmt = "rle" if out_path.suffix.lower() == ".rle" else "plaintext"
-        text = encode_pattern(history[-1], fmt, rule=rule if fmt == "rle" else None)
+        text = encode_pattern(final, fmt, rule=rule if fmt == "rle" else None)
         out_path.write_text(text)
     if args.metrics:
         with _csv_out(args.metrics) as w:
             w.writerow(["generation", "population"])
-            for i, g in enumerate(history):
-                w.writerow([i, g.population])
+            w.writerows(enumerate(populations))
     return 0
 
 
@@ -244,8 +245,7 @@ def _cmd_complexity_profile(args) -> int:
     gens = args.gens if args.gens is not None else 0
     scales_text = args.scales or "1,2,4"
     scales = [int(s) for s in str(scales_text).split(",") if s.strip()]
-    history = run(grid, rule, gens)
-    profile = complexity_profile(history, scales)
+    profile = complexity_profile(run(grid, rule, gens), scales)
     with _csv_out(args.metrics or args.out) as w:
         w.writerow(["scale", "omega", "bits"])
         for census in profile:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .grid import Grid, Topology
 
@@ -45,13 +45,15 @@ def coarse_grain(grid: Grid, scale: int, rule: str = "any") -> Grid:
     if scale == 1:
         return grid
     if rule == "any":
-        return Grid({(x // scale, y // scale): 1 for (x, y) in grid.cells})
+        blocks = {(x // scale, y // scale): 1 for (x, y) in grid.cells}
+        return Grid._trusted(blocks, Topology.SQUARE)
     counts: dict[tuple[int, int], int] = {}
     for (x, y) in grid.cells:
         key = (x // scale, y // scale)
         counts[key] = counts.get(key, 0) + 1
     half = scale * scale / 2
-    return Grid({block: 1 for block, n in counts.items() if n > half})
+    blocks = {block: 1 for block, n in counts.items() if n > half}
+    return Grid._trusted(blocks, Topology.SQUARE)
 
 
 @dataclass(frozen=True)
@@ -85,16 +87,15 @@ class ComplexityProfile:
         return tuple(e.bits for e in self.entries)
 
 
-def complexity_profile(history: Sequence[Grid], scales: Sequence[int]) -> ComplexityProfile:
+def complexity_profile(history: Iterable[Grid], scales: Sequence[int]) -> ComplexityProfile:
     """Measure observed-state information for a history at each scale.
 
     States are compared at a fixed anchoring (the observer's frame does not
     follow the pattern around). Scales must be an ascending divisibility
     chain (each a multiple of the previous, e.g. 1, 2, 4, 8) so that coarse
     blocks nest and the bits sequence is non-increasing by construction.
+    The history is read once, so it may be an iterator such as ``run(...)``.
     """
-    if not history:
-        raise ValueError("history must be non-empty")
     if not scales:
         raise ValueError("need at least one scale")
     prev = None
@@ -107,11 +108,21 @@ def complexity_profile(history: Sequence[Grid], scales: Sequence[int]) -> Comple
             )
         prev = s
 
-    entries = []
-    for s in scales:
-        seen = {frozenset(coarse_grain(g, s).cells.items()) for g in history}
-        entries.append(StateCensus(omega=len(seen), sample_size=len(history), scale=s))
-    profile = ComplexityProfile(entries=tuple(entries))
+    seen: list[set[Grid]] = [set() for _ in scales]
+    sample_size = 0
+    for g in history:
+        sample_size += 1
+        coarse, finer = g, 1
+        for s, states in zip(scales, seen):
+            # "any" blocks nest, so each scale coarse-grains the previous one.
+            coarse, finer = coarse_grain(coarse, s // finer), s
+            states.add(coarse)
+    if not sample_size:
+        raise ValueError("history must be non-empty")
+    profile = ComplexityProfile(entries=tuple(
+        StateCensus(omega=len(states), sample_size=sample_size, scale=s)
+        for s, states in zip(scales, seen)
+    ))
     bits = profile.bits
     for a, b in zip(bits, bits[1:]):
         if b > a + 1e-12:

@@ -76,6 +76,18 @@ class Grid:
         self._cells = store
         self._hash: int | None = None
 
+    @classmethod
+    def _trusted(cls, store: dict[Coordinate, int], topology: Topology) -> "Grid":
+        """Wrap engine output without re-validating it: ``store`` must map
+        int coordinate pairs to positive int states, and the new grid takes
+        ownership of it. Input from outside the library goes through
+        ``Grid(...)``, which checks every cell."""
+        grid = cls.__new__(cls)
+        grid.topology = topology
+        grid._cells = store
+        grid._hash = None
+        return grid
+
     @property
     def cells(self) -> Mapping[Coordinate, int]:
         return self._cells
@@ -122,9 +134,8 @@ class Grid:
         dx, dy = d
         if dx == 0 and dy == 0:
             return self
-        return Grid(
-            {(x + dx, y + dy): s for (x, y), s in self._cells.items()},
-            topology=self.topology,
+        return Grid._trusted(
+            {(x + dx, y + dy): s for (x, y), s in self._cells.items()}, self.topology
         )
 
     def canonicalize(self) -> "Grid":

@@ -2,21 +2,26 @@
 
 The Life oracle here is a naive dense double-buffer implementation on a
 padded bounded region, written directly from the birth/survival rule
-text and sharing no code with the sparse engine.
+text and sharing no code with the engines.
 """
 
 import numpy as np
 
+MOORE = tuple((dx, dy) for dx in (-1, 0, 1) for dy in (-1, 0, 1) if (dx, dy) != (0, 0))
+# Axial hexagonal neighborhood of (q, r): (q +- 1, r), (q, r +- 1),
+# (q + 1, r - 1) and (q - 1, r + 1).
+HEX = ((1, 0), (-1, 0), (0, 1), (0, -1), (1, -1), (-1, 1))
 
-def dense_step(board: np.ndarray, birth=frozenset({3}), survival=frozenset({2, 3})) -> np.ndarray:
+
+def dense_step(
+    board: np.ndarray, birth=frozenset({3}), survival=frozenset({2, 3}), neighborhood=MOORE
+) -> np.ndarray:
+    """One generation of a board indexed [x, y]; cells outside it are dead."""
     padded = np.zeros((board.shape[0] + 2, board.shape[1] + 2), dtype=np.int16)
     padded[1:-1, 1:-1] = board
     counts = np.zeros(board.shape, dtype=np.int16)
-    for dx in (0, 1, 2):
-        for dy in (0, 1, 2):
-            if dx == 1 and dy == 1:
-                continue
-            counts += padded[dx : dx + board.shape[0], dy : dy + board.shape[1]]
+    for dx, dy in neighborhood:
+        counts += padded[1 + dx : 1 + dx + board.shape[0], 1 + dy : 1 + dy + board.shape[1]]
     nxt = np.zeros_like(board)
     for count in birth:
         nxt |= (board == 0) & (counts == count)
@@ -25,7 +30,9 @@ def dense_step(board: np.ndarray, birth=frozenset({3}), survival=frozenset({2, 3
     return nxt.astype(board.dtype)
 
 
-def dense_run(cells, generations, pad=16, birth=frozenset({3}), survival=frozenset({2, 3})):
+def dense_run(
+    cells, generations, pad=16, birth=frozenset({3}), survival=frozenset({2, 3}), neighborhood=MOORE
+):
     """Run a cell set on a zero-padded board; returns one cell set per
     generation. The board's dead border makes it equivalent to the
     unbounded lattice as long as nothing reaches the outermost ring; if
@@ -45,12 +52,12 @@ def dense_run(cells, generations, pad=16, birth=frozenset({3}), survival=frozens
         out = []
         touched = False
         for _ in range(generations + 1):
-            live = np.argwhere(board == 1)
-            out.append({(int(x) + min_x - pad, int(y) + min_y - pad) for x, y in live})
+            live = np.argwhere(board == 1).tolist()
+            out.append({(x + min_x - pad, y + min_y - pad) for x, y in live})
             if board[0, :].any() or board[-1, :].any() or board[:, 0].any() or board[:, -1].any():
                 touched = True
                 break
-            board = dense_step(board, birth, survival)
+            board = dense_step(board, birth, survival, neighborhood)
         if not touched:
             return out
         pad = min(pad * 2, generations + 2)

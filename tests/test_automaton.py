@@ -1,15 +1,19 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from complexkit.automaton import CONWAY_LIFE, RuleError, RuleSet, classify_pattern, run, step
 from complexkit.grid import Grid, Topology
 
-from oracles import dense_run
+from oracles import HEX, MOORE, dense_run
 
 BLINKER = Grid([(0, -1), (0, 0), (0, 1)])
 BLOCK = Grid([(0, 0), (0, 1), (1, 0), (1, 1)])
 GLIDER = Grid([(1, 0), (2, 1), (0, 2), (1, 2), (2, 2)])
+# Lightweight spaceship heading toward -x at c/2.
+LWSS = Grid([(0, 1), (0, 2), (0, 3), (1, 0), (1, 3), (2, 3), (3, 3), (4, 0), (4, 2)])
 
 
 def random_soup(rng, size=20, density=0.35):
@@ -64,18 +68,32 @@ def test_zero_survival_rule_keeps_isolated_cells():
 
 
 def test_run_zero_generations():
-    assert run(BLOCK, CONWAY_LIFE, 0) == [BLOCK]
+    assert list(run(BLOCK, CONWAY_LIFE, 0)) == [BLOCK]
 
 
 def test_run_blinker_period_two():
-    assert run(BLINKER, CONWAY_LIFE, 2)[-1] == BLINKER
+    assert list(run(BLINKER, CONWAY_LIFE, 2))[-1] == BLINKER
 
 
 def test_run_glider_four_generations():
-    final = run(GLIDER, CONWAY_LIFE, 4)[-1]
+    final = list(run(GLIDER, CONWAY_LIFE, 4))[-1]
     assert final == GLIDER.translate((1, 1))
     # brute-force oracle for the same orbit
     assert set(final.cells) == dense_run(set(GLIDER.cells), 4, pad=8)[-1]
+
+
+def test_glider_runs_300_generations():
+    history = list(run(GLIDER, CONWAY_LIFE, 300))
+    for k in range(0, 301, 4):
+        assert history[k] == GLIDER.translate((k // 4, k // 4))
+
+
+def test_spaceships_run_in_negative_directions():
+    back_glider = Grid([(-x, -y) for x, y in GLIDER.cells])
+    for ship, (dx, dy) in ((back_glider, (-1, -1)), (LWSS, (-2, 0))):
+        history = list(run(ship, CONWAY_LIFE, 200))
+        for k in range(0, 201, 4):
+            assert history[k] == ship.translate((dx * k // 4, dy * k // 4))
 
 
 def test_classify_canon():
@@ -118,6 +136,55 @@ def test_sparse_matches_dense_oracle_small():
         expected = dense_run(set(g.cells), 20, pad=24)
         for got, want in zip(history, expected):
             assert set(got.cells) == want
+
+
+@pytest.mark.parametrize(
+    "topology, rule_text",
+    [
+        (Topology.SQUARE, "B36/S23"),
+        (Topology.SQUARE, "B3/S012345678"),
+        (Topology.SQUARE, "B1/S0"),
+        (Topology.SQUARE, "B2/S8"),
+        (Topology.HEX, "B2/S34"),
+        (Topology.HEX, "B24/S0356"),
+        (Topology.HEX, "B1/S0"),
+    ],
+)
+def test_engine_matches_dense_oracle_for_rule(topology, rule_text):
+    rule = RuleSet.parse(rule_text)
+    neighborhood = MOORE if topology is Topology.SQUARE else HEX
+    rng = random.Random(rule_text)
+    for _ in range(4):
+        g = Grid(random_soup(rng, size=12).cells, topology=topology)
+        expected = dense_run(
+            set(g.cells), 16, pad=20, birth=rule.birth, survival=rule.survival,
+            neighborhood=neighborhood,
+        )
+        assert [set(got.cells) for got in run(g, rule, 16)] == expected
+        assert set(step(g, rule).cells) == expected[1]
+
+
+@settings(max_examples=60, deadline=None)
+@given(topology=st.sampled_from(list(Topology)), data=st.data())
+def test_two_state_engine_matches_multistate_engine(topology, data):
+    degree = topology.degree
+    birth = data.draw(st.frozensets(st.integers(1, degree)), label="birth")
+    survival = data.draw(st.frozensets(st.integers(0, degree)), label="survival")
+    cells = data.draw(
+        st.sets(st.tuples(st.integers(-8, 8), st.integers(-8, 8)), max_size=80), label="cells"
+    )
+    g = Grid(cells, topology=topology)
+    rule2 = RuleSet(birth, survival)
+    rule3 = RuleSet(birth, survival, states=3)
+    assert list(run(g, rule2, 10)) == list(run(g, rule3, 10))
+    assert step(g, rule2) == step(g, rule3)
+
+
+def test_two_state_rule_keeps_survivor_colors():
+    g = Grid({(0, 0): 2, (1, 0): 2, (2, 0): 2})
+    vertical = Grid({(1, -1): 1, (1, 0): 2, (1, 1): 1})
+    assert step(g, CONWAY_LIFE) == vertical
+    assert list(run(g, CONWAY_LIFE, 2))[1:] == [vertical, Grid({(0, 0): 1, (1, 0): 2, (2, 0): 1})]
 
 
 def test_two_state_path_equals_multistate_path():

@@ -112,15 +112,25 @@ def test_profile_monotone_on_random_soup():
 def test_profile_omega_bounded_by_history_length():
     rng = random.Random(78)
     soup = Grid([(x, y) for x in range(16) for y in range(16) if rng.random() < 0.35])
-    history = run(soup, CONWAY_LIFE, 12)
+    history = list(run(soup, CONWAY_LIFE, 12))
     profile = complexity_profile(history, [1, 2])
     for census in profile:
         assert 1 <= census.omega <= len(history)
         assert census.sample_size == len(history)
 
 
+def test_profile_of_generator_equals_profile_of_list():
+    rng = random.Random(79)
+    soup = Grid([(x, y) for x in range(16) for y in range(16) if rng.random() < 0.35])
+    expected = complexity_profile(list(run(soup, CONWAY_LIFE, 12)), [1, 2, 4])
+    assert complexity_profile(run(soup, CONWAY_LIFE, 12), [1, 2, 4]) == expected
+    assert expected.entries[0].sample_size == 13
+    with pytest.raises(ValueError):
+        complexity_profile(iter([]), [1])
+
+
 def test_profile_rejects_bad_inputs():
-    history = run(BLOCK, CONWAY_LIFE, 2)
+    history = list(run(BLOCK, CONWAY_LIFE, 2))
     with pytest.raises(ValueError):
         complexity_profile([], [1, 2])
     with pytest.raises(ValueError):
