@@ -3,25 +3,28 @@
 Agents carry a type, attributes, a strategy, and an append-only memory of
 (stimulus, response) events. A fixed strategy always applies its single
 rule; an adaptive strategy draws among its rules proportionally to a
-weight vector that is reinforced by received rewards. Ticks are
-synchronous and two-phase: intended actions are computed from the time-t
-state only, then committed atomically, with cell conflicts resolved by
-lowest agent id. The whole trajectory is a pure function of (scenario,
-seed).
+weight vector reinforced by the reward, which is the response itself (so
+a run's mean reward equals its mean response). Ticks are synchronous and
+two-phase: intended actions are computed from the time-t state only, then
+committed atomically, with cell conflicts resolved by lowest agent id.
+The whole trajectory is a pure function of (scenario, seed).
+
+One engine runs ``tick`` and ``scenario.run_scenario`` over per-agent
+lists. ``Rule.apply`` receives the agent's history as a read-only
+sequence, valid only during the call; ``Agent.memory`` is a tuple.
 """
 
 from __future__ import annotations
 
 import math
 import random
+from itertools import islice
 from dataclasses import dataclass, field, replace
 from typing import Callable, Mapping, Sequence
 
 from .complexity import coarse_grain
-from .grid import Grid, Topology
-
-Memory = tuple[tuple[float, float], ...]
-
+from .dynamics import weighted_index
+from .grid import Grid
 
 class DegenerateStrategyError(ValueError):
     """Adaptive strategy whose weights are all zero cannot choose a rule."""
@@ -36,7 +39,7 @@ class Rule:
     """A stimulus-response rule; ``apply(stimulus, memory) -> response``."""
 
     name: str
-    apply: Callable[[float, Memory], float]
+    apply: Callable[[float, Sequence[tuple[float, float]]], float]
 
 
 def linear_rule(gain: float) -> Rule:
@@ -100,7 +103,7 @@ class Agent:
     type_name: str
     strategy: Strategy
     attributes: Mapping[str, object] = field(default_factory=dict)
-    memory: Memory = ()
+    memory: tuple[tuple[float, float], ...] = ()
 
 
 @dataclass(frozen=True)
@@ -153,22 +156,18 @@ def respond(agent: Agent, stimulus: float, rule_index: int | None = None) -> tup
     return response, updated
 
 
+def _draw_rule(agent_id: int, weights: Sequence[float], rng: random.Random) -> int:
+    total = sum(weights)
+    if total <= 0.0:
+        raise DegenerateStrategyError(f"agent {agent_id} has an all-zero weight vector")
+    return weighted_index(weights, total, rng)
+
+
 def select_rule(agent: Agent, context: float, rng: random.Random) -> int:
     """Fixed strategies always pick rule 0; adaptive strategies draw an index
     proportionally to their current weights."""
-    strategy = agent.strategy
-    if not strategy.adaptive:
-        return 0
-    total = sum(strategy.weights)
-    if total <= 0.0:
-        raise DegenerateStrategyError(f"agent {agent.id} has an all-zero weight vector")
-    u = rng.random() * total
-    acc = 0.0
-    for i, w in enumerate(strategy.weights):
-        acc += w
-        if u < acc:
-            return i
-    return len(strategy.weights) - 1
+    weights = agent.strategy.weights
+    return 0 if weights is None else _draw_rule(agent.id, weights, rng)
 
 
 def reinforce(agent: Agent, rule_index: int, reward: float) -> Agent:
@@ -180,61 +179,72 @@ def reinforce(agent: Agent, rule_index: int, reward: float) -> Agent:
     return replace(agent, strategy=replace(agent.strategy, weights=tuple(weights)))
 
 
-def _agent_stream(seed: int, time: int, agent_id: int) -> random.Random:
-    # Per-agent stream keyed on (seed, time, id) so results never depend on
-    # the order agents happen to be iterated in.
-    return random.Random(((seed * 1_000_003 + time) * 1_000_003) + agent_id)
+def _run(env: Environment, ticks: int) -> tuple[Environment, list[float]]:
+    """Run ``ticks`` ticks over per-agent lists kept in the output's
+    ``env.agents()`` order; returns the new environment and each tick's
+    mean response, summed in that order."""
+    if ticks == 0:
+        return env, []
+    stimulus = float(env.params.get("stimulus", 1.0))
+    members = [sorted(pop.agents, key=lambda a: a.id) for pop in env.populations]
+    agents = [a for pop in members for a in pop]
+    n, space = len(agents), env.space
+    if n and not math.isfinite(stimulus):
+        raise ValueError(f"stimulus must be finite, got {stimulus}")
+    ids = [a.id for a in agents]
+    rules = [a.strategy.rules for a in agents]
+    weights = [None if a.strategy.weights is None else list(a.strategy.weights) for a in agents]
+    memories = [list(a.memory) for a in agents]
+    moves = () if space is None else space.topology.offsets
+    positions = [
+        tuple(a.attributes["position"]) if moves and "position" in a.attributes else None
+        for a in agents
+    ]
+    targets, responses, means = [None] * n, [0.0] * n, []
+    by_id = sorted(range(n), key=ids.__getitem__)
+    rng = random.Random()
+    for time in range(env.time, env.time + ticks):
+        key = (env.seed * 1_000_003 + time) * 1_000_003
+        for i in range(n):
+            rng.seed(key + ids[i])
+            w = weights[i]
+            idx = 0 if w is None else _draw_rule(ids[i], w, rng)
+            memory = memories[i]
+            responses[i] = r = rules[i][idx].apply(stimulus, memory)
+            memory.append((stimulus, r))
+            if w is not None:
+                r = w[idx] + r
+                w[idx] = r if r > 0.0 else 0.0
+            if positions[i] is not None:
+                x, y = positions[i]
+                dx, dy = moves[rng.randrange(len(moves))]
+                targets[i] = (x + dx, y + dy)
+        claimed = set()
+        for i in by_id:
+            if targets[i] is not None:
+                if targets[i] in claimed:
+                    targets[i] = positions[i]
+                claimed.add(targets[i])
+                positions[i] = targets[i]
+        means.append(sum(responses) / n if n else 0.0)
+    rebuilt = iter([
+        Agent(a.id, a.type_name, a.strategy if w is None else Strategy(a.strategy.rules, tuple(w)),
+              dict(a.attributes) if p is None else {**a.attributes, "position": p}, tuple(m))
+        for a, w, p, m in zip(agents, weights, positions, memories)
+    ])
+    populations = tuple(Population(pop.name, tuple(islice(rebuilt, len(group))))
+                        for pop, group in zip(env.populations, members))
+    if space is not None:
+        space = Grid([positions[i] for i in by_id if positions[i] is not None], space.topology)
+    return replace(env, populations=populations, space=space, time=env.time + ticks), means
 
 
 def tick(env: Environment) -> Environment:
-    """One synchronous two-phase update of every agent.
-
-    Phase 1 computes each agent's response and movement intent from the
-    time-t environment; phase 2 commits all of it in ascending agent-id
-    order, giving conflicting cell claims to the lowest id (losers stay
-    put).
-    """
-    stimulus = float(env.params.get("stimulus", 1.0))
-    intents: dict[int, tuple[Agent, tuple[int, int] | None]] = {}
-    for agent in env.agents():
-        rng = _agent_stream(env.seed, env.time, agent.id)
-        idx = select_rule(agent, stimulus, rng)
-        response, updated = respond(agent, stimulus, rule_index=idx)
-        updated = reinforce(updated, idx, reward=response)
-        target = None
-        if env.space is not None and "position" in updated.attributes:
-            x, y = updated.attributes["position"]
-            dx, dy = env.space.topology.offsets[rng.randrange(env.space.topology.degree)]
-            target = (x + dx, y + dy)
-        intents[agent.id] = (updated, target)
-
-    claimed: set[tuple[int, int]] = set()
-    committed: dict[int, Agent] = {}
-    for aid in sorted(intents):
-        updated, target = intents[aid]
-        if target is not None:
-            if target in claimed:
-                target = tuple(updated.attributes["position"])
-            claimed.add(target)
-            attrs = dict(updated.attributes)
-            attrs["position"] = target
-            updated = replace(updated, attributes=attrs)
-        committed[aid] = updated
-
-    populations = tuple(
-        Population(
-            name=pop.name,
-            agents=tuple(sorted((committed[a.id] for a in pop.agents), key=lambda a: a.id)),
-        )
-        for pop in env.populations
-    )
-    space = env.space
-    if space is not None:
-        occupied = [
-            a.attributes["position"] for a in committed.values() if "position" in a.attributes
-        ]
-        space = Grid(occupied, topology=space.topology)
-    return replace(env, populations=populations, space=space, time=env.time + 1)
+    """One synchronous two-phase update of every agent: phase 1 computes each
+    agent's response and move from the time-t state, phase 2 commits the
+    moves in ascending id order, giving a contested cell to the lowest id
+    (losers stay put)."""
+    return _run(env, 1)[0]
 
 
 def observe(env: Environment, frame: Frame) -> Observation:

@@ -169,6 +169,9 @@ def _cmd_life_run(args) -> int:
     grid, header_rule, _ = _load_pattern(args)
     rule = _resolve_rule(args, header_rule)
     if args.topology == "hex":
+        if args.frames or args.out:
+            # Refused before the run, so no frame directory is left behind.
+            raise UnsupportedFormatError("pattern codecs support square grids only")
         grid = Grid(dict(grid.cells), topology=Topology.HEX)
     gens = args.gens if args.gens is not None else 0
     frames_dir = Path(args.frames) if args.frames else None

@@ -13,7 +13,8 @@ import logging
 import math
 import random
 from dataclasses import dataclass
-from typing import Callable
+from functools import cached_property
+from typing import Callable, Sequence
 
 log = logging.getLogger(__name__)
 
@@ -57,6 +58,10 @@ class IterativeMap:
     def deterministic(self) -> bool:
         return len(self.branches) == 1
 
+    @cached_property
+    def probabilities(self) -> tuple[float, ...]:
+        return tuple(b.probability for b in self.branches)
+
 
 def logistic_map(r: float) -> IterativeMap:
     """x -> r*x*(1-x), derivative r*(1-2x)."""
@@ -75,16 +80,23 @@ class Trajectory:
     branch_log: tuple[int, ...]
 
 
+def weighted_index(weights: Sequence[float], total: float, rng: random.Random) -> int:
+    """Draw an index with probability proportional to its weight, given the
+    weights' positive ``total``; rounding past the last cumulative weight
+    picks the last index. Uses one ``rng.random()``, scaled by ``total``."""
+    u = rng.random() * total
+    acc = 0.0
+    for i, w in enumerate(weights):
+        acc += w
+        if u < acc:
+            return i
+    return len(weights) - 1
+
+
 def _choose_branch(m: IterativeMap, rng: random.Random) -> int:
     if m.deterministic:
         return 0
-    u = rng.random()
-    acc = 0.0
-    for i, b in enumerate(m.branches):
-        acc += b.probability
-        if u < acc:
-            return i
-    return len(m.branches) - 1
+    return weighted_index(m.probabilities, 1.0, rng)
 
 
 def iterate(m: IterativeMap, x0: float, n: int, rng: random.Random | None = None) -> Trajectory:

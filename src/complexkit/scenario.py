@@ -26,7 +26,8 @@ from __future__ import annotations
 import random
 from typing import Mapping
 
-from .cas import Agent, AgentType, Environment, Population, Strategy, rule_from_spec, tick
+from .cas import Agent, AgentType, Environment, Population, Strategy, _run, rule_from_spec
+from .cas import tick  # noqa: F401  bench/tracing.py rebinds scenario.tick
 from .grid import Grid
 
 
@@ -47,6 +48,9 @@ def build_environment(config: Mapping) -> Environment:
     placement_rng = random.Random(seed)
     free_cells: list[tuple[int, int]] | None = None
     if grid_spec is not None:
+        for key in ("width", "height"):
+            if key not in grid_spec:
+                raise ScenarioError(f"scenario grid needs grid.{key}")
         width, height = int(grid_spec["width"]), int(grid_spec["height"])
         free_cells = [(x, y) for x in range(width) for y in range(height)]
 
@@ -106,20 +110,13 @@ def build_environment(config: Mapping) -> Environment:
 
 def run_scenario(env: Environment, ticks: int) -> tuple[Environment, list[dict]]:
     """Run ``ticks`` synchronous updates, collecting one metrics row per tick:
-    tick number, agent count, mean response, and mean reward."""
+    tick number, agent count, mean response, and mean reward (the reward is
+    the response, so the two columns are equal)."""
     if ticks < 0:
         raise ValueError("tick count must be >= 0")
-    metrics = []
-    for _ in range(ticks):
-        env = tick(env)
-        responses = [a.memory[-1][1] for a in env.agents() if a.memory]
-        mean = sum(responses) / len(responses) if responses else 0.0
-        metrics.append(
-            {
-                "tick": env.time,
-                "agents": len(env.agents()),
-                "mean_response": mean,
-                "mean_reward": mean,
-            }
-        )
-    return env, metrics
+    start, agents = env.time, len(env.agents())
+    env, means = _run(env, ticks)
+    return env, [
+        {"tick": start + k, "agents": agents, "mean_response": mean, "mean_reward": mean}
+        for k, mean in enumerate(means, start=1)
+    ]

@@ -2,10 +2,20 @@
 
 The Life oracle here is a naive dense double-buffer implementation on a
 padded bounded region, written directly from the birth/survival rule
-text and sharing no code with the engines.
+text and sharing no code with the engines. The agent oracle is the
+original immutable tick: it rebuilds every agent with
+``dataclasses.replace`` each tick and draws from a fresh
+``random.Random`` per agent, sharing no engine code either.
 """
 
+import math
+import random
+from dataclasses import replace
+
 import numpy as np
+
+from complexkit.cas import DegenerateStrategyError, Environment, Population
+from complexkit.grid import Grid
 
 MOORE = tuple((dx, dy) for dx in (-1, 0, 1) for dy in (-1, 0, 1) if (dx, dy) != (0, 0))
 # Axial hexagonal neighborhood of (q, r): (q +- 1, r), (q, r +- 1),
@@ -61,3 +71,85 @@ def dense_run(
         if not touched:
             return out
         pad = min(pad * 2, generations + 2)
+
+
+def agent_tick(env: Environment) -> Environment:
+    """One synchronous two-phase tick: every agent draws its rule and move
+    from a stream keyed on (seed, time, id) and the time-t state, then
+    moves commit in ascending id order, the lowest id winning a contested
+    cell (losers stay put)."""
+    stimulus = float(env.params.get("stimulus", 1.0))
+    intents = {}
+    for agent in env.agents():
+        rng = random.Random(((env.seed * 1_000_003 + env.time) * 1_000_003) + agent.id)
+        strategy = agent.strategy
+        idx = 0
+        if strategy.weights is not None:
+            total = sum(strategy.weights)
+            if total <= 0.0:
+                raise DegenerateStrategyError(f"agent {agent.id} has an all-zero weight vector")
+            u = rng.random() * total
+            acc = 0.0
+            idx = len(strategy.weights) - 1
+            for i, w in enumerate(strategy.weights):
+                acc += w
+                if u < acc:
+                    idx = i
+                    break
+        if not math.isfinite(stimulus):
+            raise ValueError(f"stimulus must be finite, got {stimulus}")
+        response = strategy.rules[idx].apply(stimulus, agent.memory)
+        updated = replace(agent, memory=agent.memory + ((stimulus, response),))
+        if strategy.weights is not None:
+            weights = list(strategy.weights)
+            weights[idx] = max(0.0, weights[idx] + response)
+            updated = replace(updated, strategy=replace(strategy, weights=tuple(weights)))
+        target = None
+        if env.space is not None and "position" in updated.attributes:
+            x, y = updated.attributes["position"]
+            dx, dy = env.space.topology.offsets[rng.randrange(env.space.topology.degree)]
+            target = (x + dx, y + dy)
+        intents[agent.id] = (updated, target)
+
+    claimed = set()
+    committed = {}
+    for aid in sorted(intents):
+        updated, target = intents[aid]
+        if target is not None:
+            if target in claimed:
+                target = tuple(updated.attributes["position"])
+            claimed.add(target)
+            attrs = dict(updated.attributes)
+            attrs["position"] = target
+            updated = replace(updated, attributes=attrs)
+        committed[aid] = updated
+
+    populations = tuple(
+        Population(
+            name=pop.name,
+            agents=tuple(sorted((committed[a.id] for a in pop.agents), key=lambda a: a.id)),
+        )
+        for pop in env.populations
+    )
+    space = env.space
+    if space is not None:
+        occupied = [
+            a.attributes["position"] for a in committed.values() if "position" in a.attributes
+        ]
+        space = Grid(occupied, topology=space.topology)
+    return replace(env, populations=populations, space=space, time=env.time + 1)
+
+
+def agent_run(env: Environment, ticks: int, tick=agent_tick):
+    """``ticks`` chained ticks (the oracle's by default) and one metrics row
+    per tick, the mean response summed in the ticked env's ``agents()``
+    order."""
+    metrics = []
+    for _ in range(ticks):
+        env = tick(env)
+        responses = [a.memory[-1][1] for a in env.agents() if a.memory]
+        mean = sum(responses) / len(responses) if responses else 0.0
+        metrics.append(
+            {"tick": env.time, "agents": len(env.agents()), "mean_response": mean, "mean_reward": mean}
+        )
+    return env, metrics

@@ -2,6 +2,8 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from complexkit.cas import (
     Agent,
@@ -21,7 +23,10 @@ from complexkit.cas import (
     tick,
 )
 from complexkit.complexity import coarse_grain
+from complexkit.grid import Grid, Topology
 from complexkit.scenario import ScenarioError, build_environment, run_scenario
+
+from oracles import agent_run
 
 SCENARIO = {
     "seed": 99,
@@ -225,3 +230,88 @@ def test_observation_coarsening_is_monotone():
     obs2 = observe(env, Frame(scale=2))
     obs4 = observe(env, Frame(scale=4))
     assert coarse_grain(obs2.grid, 2) == obs4.grid
+
+
+RULES = (
+    linear_rule(-1.5), linear_rule(-0.3), linear_rule(0.5), linear_rule(1.0),
+    linear_rule(1.7), linear_rule(2.0), double_on_second_rule(),
+)
+
+
+@st.composite
+def scenarios(draw):
+    """Small environments: fixed and adaptive agents, zero and negative
+    weights, pre-filled memory, permuted populations, and no grid or a
+    crowded one with colliding claims and agents without a position."""
+    n = draw(st.integers(0, 10), label="agents")
+    ids = draw(st.permutations(range(n)), label="ids")
+    topology = draw(st.sampled_from([None, Topology.SQUARE, Topology.HEX]), label="topology")
+    coord = st.tuples(st.integers(0, 2), st.integers(0, 2))
+    agents = []
+    for agent_id in ids:
+        rules = tuple(draw(st.lists(st.sampled_from(RULES), min_size=1, max_size=3)))
+        if len(rules) == 1 and draw(st.booleans()):
+            strategy = Strategy(rules=rules)
+        else:
+            weights = draw(st.lists(st.sampled_from([1.0, 0.25, 2.5, 0.0]),
+                                    min_size=len(rules), max_size=len(rules)))
+            if not any(weights) and draw(st.integers(0, 9)):
+                weights[-1] = 1.0  # keep most runs from stopping at a degenerate draw
+            strategy = Strategy(rules=rules, weights=tuple(weights))
+        memory = tuple(draw(st.lists(st.tuples(st.sampled_from([0.5, 1.0]),
+                                               st.sampled_from([0.0, 1.25])), max_size=3)))
+        attributes = {"colour": draw(st.integers(0, 2))}
+        if topology is not None and draw(st.integers(0, 4)):
+            attributes["position"] = draw(coord)
+        agents.append(Agent(agent_id, "t", strategy, attributes, memory))
+    cuts = sorted(draw(st.lists(st.integers(0, n), max_size=2)))
+    bounds = [0, *cuts, n]
+    populations = tuple(
+        Population(f"p{k}", tuple(agents[lo:hi])) for k, (lo, hi) in enumerate(zip(bounds, bounds[1:]))
+    )
+    space = None
+    if topology is not None:
+        space = Grid([a.attributes["position"] for a in agents if "position" in a.attributes],
+                     topology=topology)
+    return Environment(
+        populations=populations,
+        seed=draw(st.integers(0, 2**40), label="seed"),
+        time=draw(st.integers(0, 30), label="time"),
+        space=space,
+        params={"stimulus": draw(st.sampled_from([1.0, 0.7, 1.3, -0.4]), label="stimulus")},
+    )
+
+
+def _outcome(run, env, ticks):
+    try:
+        final, metrics = run(env, ticks)
+    except DegenerateStrategyError as exc:
+        return type(exc)
+    return snapshot(final), metrics
+
+
+@settings(max_examples=150, deadline=None)
+@given(env=scenarios(), ticks=st.integers(1, 6))
+def test_engine_matches_the_replace_based_oracle(env, ticks):
+    before = snapshot(env)
+    expected = _outcome(agent_run, env, ticks)
+    assert _outcome(run_scenario, env, ticks) == expected
+    assert _outcome(lambda e, n: agent_run(e, n, tick=tick), env, ticks) == expected
+    assert snapshot(env) == before
+
+
+@pytest.mark.parametrize("grid", [True, False])
+def test_engine_output_shares_no_attribute_dict_with_its_input(grid):
+    env = build_environment(SCENARIO)
+    if not grid:
+        env = Environment(env.populations, env.seed, params=env.params)
+    out, _ = run_scenario(env, 3)
+    for old, new in zip(env.agents(), out.agents()):
+        assert new.attributes is not old.attributes
+        new.attributes["colour"] = 1
+        assert "colour" not in old.attributes
+
+
+def test_zero_ticks_returns_the_input_env():
+    env = build_environment(SCENARIO)
+    assert run_scenario(env, 0) == (env, [])

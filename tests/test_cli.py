@@ -107,6 +107,19 @@ def test_hex_without_rule_is_domain_error(glider_file):
     assert code == 1
 
 
+@pytest.mark.parametrize("output", ["--frames", "--out"])
+def test_hex_pattern_output_refused_before_the_run(tmp_path, glider_file, capsys, output):
+    target = tmp_path / "target"
+    metrics = tmp_path / "m.csv"
+    code = execute([
+        "life", "run", "--pattern", str(glider_file), "--topology", "hex", "--rule", "B2/S34",
+        "--gens", "3", "--seed", "1", output, str(target), "--metrics", str(metrics),
+    ])
+    assert code == 1
+    assert capsys.readouterr().err == "error: pattern codecs support square grids only\n"
+    assert not target.exists() and not metrics.exists()
+
+
 def test_life_classify_lines(tmp_path, capsys):
     cases = {
         "block.rle": ("x = 2, y = 2, rule = B3/S23\n2o$2o!", "still-life"),
@@ -130,6 +143,13 @@ def test_cas_run_metrics(tmp_path):
     lines = metrics.read_text().splitlines()
     assert lines[0] == "tick,agents,mean_response,mean_reward"
     assert len(lines) == 21  # header + 20 ticks from the config file
+
+
+def test_cas_grid_without_height_exits_2(tmp_path, capsys):
+    config = tmp_path / "scenario.json"
+    config.write_text(json.dumps({**SCENARIO, "grid": {"width": 3}}))
+    assert execute(["cas", "run", "--config", str(config)]) == 2
+    assert capsys.readouterr().err == "error: scenario grid needs grid.height\n"
 
 
 def test_cas_run_flag_overrides_config(tmp_path):
