@@ -4,27 +4,27 @@ Agents carry a type, attributes, a strategy, and an append-only memory of
 (stimulus, response) events. A fixed strategy always applies its single
 rule; an adaptive strategy draws among its rules proportionally to a
 weight vector reinforced by the reward, which is the response itself (so
-a run's mean reward equals its mean response). Ticks are synchronous and
-two-phase: intended actions are computed from the time-t state only, then
-committed atomically, with cell conflicts resolved by lowest agent id.
-The whole trajectory is a pure function of (scenario, seed).
-
-One engine runs ``tick`` and ``scenario.run_scenario`` over per-agent
-lists. ``Rule.apply`` receives the agent's history as a read-only
-sequence, valid only during the call; ``Agent.memory`` is a tuple.
+mean reward equals mean response). Ticks are synchronous and two-phase:
+intended actions are computed from the time-t state only, then committed
+with cell conflicts going to the lowest agent id. One engine over
+per-agent lists runs ``tick`` and ``scenario.run_scenario``; it passes
+``Rule.apply`` the agent's history as a read-only sequence, valid only
+during the call (``Agent.memory`` is a tuple). The whole trajectory is a
+pure function of (scenario, seed).
 """
 
 from __future__ import annotations
 
 import math
 import random
-from itertools import islice
 from dataclasses import dataclass, field, replace
+from itertools import islice
 from typing import Callable, Mapping, Sequence
 
 from .complexity import coarse_grain
 from .dynamics import weighted_index
 from .grid import Grid
+
 
 class DegenerateStrategyError(ValueError):
     """Adaptive strategy whose weights are all zero cannot choose a rule."""
@@ -196,10 +196,7 @@ def _run(env: Environment, ticks: int) -> tuple[Environment, list[float]]:
     weights = [None if a.strategy.weights is None else list(a.strategy.weights) for a in agents]
     memories = [list(a.memory) for a in agents]
     moves = () if space is None else space.topology.offsets
-    positions = [
-        tuple(a.attributes["position"]) if moves and "position" in a.attributes else None
-        for a in agents
-    ]
+    positions = [a.attributes.get("position") if moves else None for a in agents]
     targets, responses, means = [None] * n, [0.0] * n, []
     by_id = sorted(range(n), key=ids.__getitem__)
     rng = random.Random()
@@ -223,13 +220,15 @@ def _run(env: Environment, ticks: int) -> tuple[Environment, list[float]]:
         for i in by_id:
             if targets[i] is not None:
                 if targets[i] in claimed:
-                    targets[i] = positions[i]
+                    targets[i] = tuple(positions[i])
                 claimed.add(targets[i])
                 positions[i] = targets[i]
         means.append(sum(responses) / n if n else 0.0)
+    for i, memory in enumerate(memories):  # in place: no GC pass sees a list and its tuple
+        memories[i] = tuple(memory)
     rebuilt = iter([
         Agent(a.id, a.type_name, a.strategy if w is None else Strategy(a.strategy.rules, tuple(w)),
-              dict(a.attributes) if p is None else {**a.attributes, "position": p}, tuple(m))
+              dict(a.attributes) if p is None else {**a.attributes, "position": p}, m)
         for a, w, p, m in zip(agents, weights, positions, memories)
     ])
     populations = tuple(Population(pop.name, tuple(islice(rebuilt, len(group))))
