@@ -156,18 +156,18 @@ def respond(agent: Agent, stimulus: float, rule_index: int | None = None) -> tup
     return response, updated
 
 
-def _draw_rule(agent_id: int, weights: Sequence[float], rng: random.Random) -> int:
+def _draw_rule(agent_id: int, weights: Sequence[float], u: float) -> int:
     total = sum(weights)
     if total <= 0.0:
         raise DegenerateStrategyError(f"agent {agent_id} has an all-zero weight vector")
-    return weighted_index(weights, total, rng)
+    return weighted_index(weights, total, u)
 
 
 def select_rule(agent: Agent, context: float, rng: random.Random) -> int:
     """Fixed strategies always pick rule 0; adaptive strategies draw an index
     proportionally to their current weights."""
     weights = agent.strategy.weights
-    return 0 if weights is None else _draw_rule(agent.id, weights, rng)
+    return 0 if weights is None else _draw_rule(agent.id, weights, rng.random())
 
 
 def reinforce(agent: Agent, rule_index: int, reward: float) -> Agent:
@@ -205,7 +205,7 @@ def _run(env: Environment, ticks: int) -> tuple[Environment, list[float]]:
         for i in range(n):
             rng.seed(key + ids[i])
             w = weights[i]
-            idx = 0 if w is None else _draw_rule(ids[i], w, rng)
+            idx = 0 if w is None else _draw_rule(ids[i], w, rng.random())
             memory = memories[i]
             responses[i] = r = rules[i][idx].apply(stimulus, memory)
             memory.append((stimulus, r))

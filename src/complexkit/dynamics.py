@@ -80,11 +80,11 @@ class Trajectory:
     branch_log: tuple[int, ...]
 
 
-def weighted_index(weights: Sequence[float], total: float, rng: random.Random) -> int:
-    """Draw an index with probability proportional to its weight, given the
-    weights' positive ``total``; rounding past the last cumulative weight
-    picks the last index. Uses one ``rng.random()``, scaled by ``total``."""
-    u = rng.random() * total
+def weighted_index(weights: Sequence[float], total: float, u: float) -> int:
+    """Map a uniform ``u`` in [0, 1) to an index with probability
+    proportional to its weight, given the weights' positive ``total``;
+    rounding past the last cumulative weight picks the last index."""
+    u *= total
     acc = 0.0
     for i, w in enumerate(weights):
         acc += w
@@ -96,7 +96,7 @@ def weighted_index(weights: Sequence[float], total: float, rng: random.Random) -
 def _choose_branch(m: IterativeMap, rng: random.Random) -> int:
     if m.deterministic:
         return 0
-    return weighted_index(m.probabilities, 1.0, rng)
+    return weighted_index(m.probabilities, 1.0, rng.random())
 
 
 def iterate(m: IterativeMap, x0: float, n: int, rng: random.Random | None = None) -> Trajectory:
