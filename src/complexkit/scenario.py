@@ -35,19 +35,25 @@ class ScenarioError(ValueError):
     """Scenario document is missing or misusing a field."""
 
 
+def _wrong_type(key: str, expected: str, value: object) -> str:
+    return f"scenario {key} must be {expected}, got {type(value).__name__}"
+
+
 def build_environment(config: Mapping) -> Environment:
     if "seed" not in config:
         raise ScenarioError("scenario must declare an explicit seed")
     seed = int(config["seed"])
-    type_specs = config.get("agent_types")
-    if not type_specs:
-        type_specs = []
+    type_specs = config.get("agent_types") or []
+    if not isinstance(type_specs, (list, tuple)):
+        raise ScenarioError(_wrong_type("agent_types", "a list", type_specs))
     params = {"stimulus": float(config.get("stimulus", 1.0))}
 
     grid_spec = config.get("grid")
     placement_rng = random.Random(seed)
     free_cells: list[tuple[int, int]] | None = None
     if grid_spec is not None:
+        if not isinstance(grid_spec, Mapping):
+            raise ScenarioError(_wrong_type("grid", "an object", grid_spec))
         for key in ("width", "height"):
             if key not in grid_spec:
                 raise ScenarioError(f"scenario grid needs grid.{key}")
@@ -57,7 +63,9 @@ def build_environment(config: Mapping) -> Environment:
     populations = []
     types = []
     next_id = 0
-    for spec in type_specs:
+    for index, spec in enumerate(type_specs):
+        if not isinstance(spec, Mapping):
+            raise ScenarioError(_wrong_type(f"agent_types[{index}]", "an object", spec))
         name = spec.get("name")
         if not name:
             raise ScenarioError("every agent type needs a name")

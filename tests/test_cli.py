@@ -152,6 +152,18 @@ def test_cas_grid_without_height_exits_2(tmp_path, capsys):
     assert capsys.readouterr().err == "error: scenario grid needs grid.height\n"
 
 
+@pytest.mark.parametrize("section, message", [
+    ({"grid": 5}, "scenario grid must be an object, got int"),
+    ({"agent_types": [5]}, "scenario agent_types[0] must be an object, got int"),
+    ({"agent_types": 5}, "scenario agent_types must be a list, got int"),
+], ids=["grid", "agent-type", "agent-types"])
+def test_cas_scenario_section_of_the_wrong_type_exits_2(tmp_path, capsys, section, message):
+    config = tmp_path / "scenario.json"
+    config.write_text(json.dumps({"seed": 1, **section}))
+    assert execute(["cas", "run", "--config", str(config)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 def test_cas_run_flag_overrides_config(tmp_path):
     config = tmp_path / "scenario.json"
     config.write_text(json.dumps(SCENARIO))
