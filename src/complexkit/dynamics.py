@@ -131,7 +131,8 @@ def divergence_rate(
 
     Positive values signal exponential divergence of nearby trajectories,
     negative values contraction. Points with derivative exactly zero are
-    floored at ln(DERIVATIVE_FLOOR) and logged rather than aborting the run.
+    floored at ln(DERIVATIVE_FLOOR) rather than aborting the run; one
+    warning after the loop gives their count.
     """
     if n < 1:
         raise ValueError(f"need n >= 1 steps, got {n}")
@@ -139,13 +140,16 @@ def divergence_rate(
         raise ValueError(f"burn-in must be >= 0, got {burn_in}")
     traj = iterate(m, x0, burn_in + n, rng)
     total = 0.0
+    floors = 0
     for t in range(burn_in, burn_in + n):
         i = traj.branch_log[t]
         d = abs(m.branches[i].deriv(traj.states[t]))
         if d == 0.0:
-            log.warning("zero derivative at step %d; flooring at %g", t, DERIVATIVE_FLOOR)
+            floors += 1
             d = DERIVATIVE_FLOOR
         total += math.log(d)
+    if floors:
+        log.warning("zero derivative at %d of %d steps; floored at %g", floors, n, DERIVATIVE_FLOOR)
     return total / n
 
 

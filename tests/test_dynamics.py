@@ -118,6 +118,18 @@ def test_zero_derivative_floored_not_fatal():
     assert lam < -100  # dominated by the ln(1e-300) floor
 
 
+def test_zero_derivative_floors_log_one_warning_with_their_count(caplog):
+    # r = 2 from x0 = 0.5 stays on the fixed point 0.5, where f' = 0.
+    lam = divergence_rate(logistic_map(2.0), 0.5, 5000, burn_in=0, rng=random.Random(1))
+    expected = 0.0
+    for _ in range(5000):
+        expected += math.log(1e-300)
+    assert lam == expected / 5000
+    assert [r.getMessage() for r in caplog.records] == [
+        "zero derivative at 5000 of 5000 steps; floored at 1e-300"
+    ]
+
+
 def test_two_trajectory_cross_check():
     rng = random.Random(55)
     for _ in range(10):
