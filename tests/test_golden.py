@@ -3,12 +3,18 @@
 The digests were taken from the replace-based agent tick, before the
 array-based engine replaced it; any change to the agent engine must keep
 every one of them. A change that means to move a trajectory (a new random
-stream, say) regenerates them and says so.
+stream, say) regenerates them and says so. To regenerate, run
+``PYTHONPATH=src python tests/test_golden.py`` from the repository root
+and paste the ``GOLDEN`` literal it prints over the one below.
 """
 
+import contextlib
 import hashlib
 import json
 import random
+import sys
+import tempfile
+from pathlib import Path
 
 from complexkit.cas import Environment, Population, snapshot
 from complexkit.cli import execute
@@ -65,32 +71,67 @@ def permuted(env: Environment) -> Environment:
     )
 
 
-def test_acceptance_scenario_trajectory():
-    env, metrics = run_scenario(build_environment(CAS_SCENARIO), 100)
-    assert digest(snapshot(env)) == GOLDEN["cas_snapshot"]
-    assert digest(metrics) == GOLDEN["cas_metrics"]
+def trajectory_digests(env: Environment, ticks: int) -> tuple[str, str]:
+    env, metrics = run_scenario(env, ticks)
+    return digest(snapshot(env)), digest(metrics)
 
 
-def test_permuted_population_trajectory():
-    # Metrics sum in env.agents() order: populations in order, ids
-    # ascending within each.
-    env, metrics = run_scenario(permuted(build_environment(MIXED_SCENARIO)), 60)
-    assert digest(snapshot(env)) == GOLDEN["mixed_permuted_snapshot"]
-    assert digest(metrics) == GOLDEN["mixed_permuted_metrics"]
-
-
-def test_cas_run_csv_bytes(tmp_path):
+def cas_run_csv_digest(tmp_path: Path) -> str:
     config = tmp_path / "scenario.json"
     config.write_text(json.dumps(MIXED_SCENARIO))
     out = tmp_path / "cas.csv"
     assert execute(["cas", "run", "--config", str(config), "--metrics", str(out)]) == 0
-    assert digest(out.read_bytes()) == GOLDEN["cas_run_csv"]
+    return digest(out.read_bytes())
 
 
-def test_ga_coevolve_csv_bytes(tmp_path):
+def ga_coevolve_csv_digest(tmp_path: Path) -> str:
     out = tmp_path / "ga.csv"
     assert execute([
         "ga", "run", "--problem", "coevolve", "--gens", "3", "--pop", "12",
         "--seed", "5", "--metrics", str(out),
     ]) == 0
-    assert digest(out.read_bytes()) == GOLDEN["ga_coevolve_csv"]
+    return digest(out.read_bytes())
+
+
+def test_acceptance_scenario_trajectory():
+    assert trajectory_digests(build_environment(CAS_SCENARIO), 100) == (
+        GOLDEN["cas_snapshot"], GOLDEN["cas_metrics"])
+
+
+def test_permuted_population_trajectory():
+    # Metrics sum in env.agents() order: populations in order, ids
+    # ascending within each.
+    assert trajectory_digests(permuted(build_environment(MIXED_SCENARIO)), 60) == (
+        GOLDEN["mixed_permuted_snapshot"], GOLDEN["mixed_permuted_metrics"])
+
+
+def test_cas_run_csv_bytes(tmp_path):
+    assert cas_run_csv_digest(tmp_path) == GOLDEN["cas_run_csv"]
+
+
+def test_ga_coevolve_csv_bytes(tmp_path):
+    assert ga_coevolve_csv_digest(tmp_path) == GOLDEN["ga_coevolve_csv"]
+
+
+def main() -> None:
+    """Print the current digests as a ``GOLDEN`` literal to paste above."""
+    cas = trajectory_digests(build_environment(CAS_SCENARIO), 100)
+    mixed = trajectory_digests(permuted(build_environment(MIXED_SCENARIO)), 60)
+    # The CLI's own stdout goes to stderr, so stdout holds only the literal.
+    with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(sys.stderr):
+        current = {
+            "cas_snapshot": cas[0],
+            "cas_metrics": cas[1],
+            "mixed_permuted_snapshot": mixed[0],
+            "mixed_permuted_metrics": mixed[1],
+            "cas_run_csv": cas_run_csv_digest(Path(tmp)),
+            "ga_coevolve_csv": ga_coevolve_csv_digest(Path(tmp)),
+        }
+    print("GOLDEN = {")
+    for name, value in current.items():
+        print(f'    "{name}": "{value}",')
+    print("}")
+
+
+if __name__ == "__main__":
+    main()
