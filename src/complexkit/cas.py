@@ -11,6 +11,17 @@ per-agent lists runs ``tick`` and ``scenario.run_scenario``; it passes
 ``Rule.apply`` the agent's history as a read-only sequence, valid only
 during the call (``Agent.memory`` is a tuple). The whole trajectory is a
 pure function of (scenario, seed).
+
+Random draws come from a counter-based SplitMix64 stream (Steele, Lea &
+Flood 2014), not from a seeded generator. With ``mix`` SplitMix64's
+finaliser, each agent-tick has the 64-bit counter
+``mix(seed) + ((time << 32) + id) * 0xD1B54A32D192ED03`` (all mod 2**64),
+which is injective in (time, id) for 0 <= time, id < 2**32, so draws do
+not depend on the order in which agents are visited. Draw ``j`` is
+``z = mix(counter + (j + 1) * 0x9E3779B97F4A7C15)``: draw 0 picks the
+rule through ``u = (z >> 11) * 2**-53``, and draw 1 the move as
+``moves[(z * len(moves)) >> 64]``, whose bias is at most
+``len(moves) / 2**64``, with no rejection loop.
 """
 
 from __future__ import annotations
@@ -179,6 +190,32 @@ def reinforce(agent: Agent, rule_index: int, reward: float) -> Agent:
     return replace(agent, strategy=replace(agent.strategy, weights=tuple(weights)))
 
 
+_GAMMA = 0x9E3779B97F4A7C15  # SplitMix64's increment: 2**64 over the golden ratio, odd
+_SPREAD = 0xD1B54A32D192ED03  # odd, so (time, id) -> counter stays injective mod 2**64
+_MASK = (1 << 64) - 1
+_UNIT = 2.0 ** -53
+
+
+def _mix64(z: int) -> int:
+    """SplitMix64's finaliser (Stafford's Mix13), a bijection on 64-bit ints."""
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK
+    return z ^ (z >> 31)
+
+
+def _counter(seed: int, time: int, agent_id: int) -> int:
+    """The 64-bit counter of one agent-tick: the mixed seed plus
+    ``((time << 32) + agent_id) * _SPREAD``, modulo 2**64. Injective in
+    (time, agent_id) for 0 <= time, agent_id < 2**32 at a fixed seed."""
+    return (_mix64(seed & _MASK) + ((time << 32) + agent_id) * _SPREAD) & _MASK
+
+
+def _draw(counter: int, j: int) -> int:
+    """Draw ``j`` of a counter's stream: the (j+1)-th SplitMix64 output
+    from state ``counter``."""
+    return _mix64((counter + (j + 1) * _GAMMA) & _MASK)
+
+
 def _run(env: Environment, ticks: int) -> tuple[Environment, list[float]]:
     """Run ``ticks`` ticks over per-agent lists kept in the output's
     ``env.agents()`` order; returns the new environment and each tick's
@@ -196,16 +233,17 @@ def _run(env: Environment, ticks: int) -> tuple[Environment, list[float]]:
     weights = [None if a.strategy.weights is None else list(a.strategy.weights) for a in agents]
     memories = [list(a.memory) for a in agents]
     moves = () if space is None else space.topology.offsets
+    degree = len(moves)
     positions = [a.attributes.get("position") if moves else None for a in agents]
+    spread = [a_id * _SPREAD for a_id in ids]  # _counter's per-id term
     targets, responses, means = [None] * n, [0.0] * n, []
     by_id = sorted(range(n), key=ids.__getitem__)
-    rng = random.Random()
     for time in range(env.time, env.time + ticks):
-        key = (env.seed * 1_000_003 + time) * 1_000_003
+        base = _counter(env.seed, time, 0)
         for i in range(n):
-            rng.seed(key + ids[i])
+            counter = base + spread[i]  # _counter(env.seed, time, ids[i]) mod 2**64
             w = weights[i]
-            idx = 0 if w is None else _draw_rule(ids[i], w, rng.random())
+            idx = 0 if w is None else _draw_rule(ids[i], w, (_draw(counter, 0) >> 11) * _UNIT)
             memory = memories[i]
             responses[i] = r = rules[i][idx].apply(stimulus, memory)
             memory.append((stimulus, r))
@@ -214,7 +252,7 @@ def _run(env: Environment, ticks: int) -> tuple[Environment, list[float]]:
                 w[idx] = r if r > 0.0 else 0.0
             if positions[i] is not None:
                 x, y = positions[i]
-                dx, dy = moves[rng.randrange(len(moves))]
+                dx, dy = moves[(_draw(counter, 1) * degree) >> 64]
                 targets[i] = (x + dx, y + dy)
         claimed = set()
         for i in by_id:

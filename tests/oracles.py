@@ -4,12 +4,12 @@ The Life oracle here is a naive dense double-buffer implementation on a
 padded bounded region, written directly from the birth/survival rule
 text and sharing no code with the engines. The agent oracle is the
 original immutable tick: it rebuilds every agent with
-``dataclasses.replace`` each tick and draws from a fresh
-``random.Random`` per agent, sharing no engine code either.
+``dataclasses.replace`` each tick and draws from a fresh SplitMix64
+generator per agent, written here from Steele, Lea & Flood (2014) and
+sharing no engine code either.
 """
 
 import math
-import random
 from dataclasses import replace
 
 import numpy as np
@@ -73,6 +73,34 @@ def dense_run(
         pad = min(pad * 2, generations + 2)
 
 
+class SplitMix64:
+    """Sequential SplitMix64: each output advances the state by the golden
+    gamma and returns the state through Stafford's Mix13 finaliser."""
+
+    GAMMA = 0x9E3779B97F4A7C15
+
+    def __init__(self, state: int):
+        self.state = state % 2**64
+
+    @staticmethod
+    def mix13(z: int) -> int:
+        z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9 % 2**64
+        z = (z ^ (z >> 27)) * 0x94D049BB133111EB % 2**64
+        return z ^ (z >> 31)
+
+    def next(self) -> int:
+        self.state = (self.state + self.GAMMA) % 2**64
+        return self.mix13(self.state)
+
+
+def agent_stream(seed: int, time: int, agent_id: int) -> SplitMix64:
+    """The generator of one agent-tick: its state is the seed's Mix13 plus
+    the index ``time * 2**32 + agent_id`` times 0xD1B54A32D192ED03, mod
+    2**64. Output 1 draws the rule, output 2 the move."""
+    index = time * 2**32 + agent_id
+    return SplitMix64(SplitMix64.mix13(seed % 2**64) + index * 0xD1B54A32D192ED03)
+
+
 def agent_tick(env: Environment) -> Environment:
     """One synchronous two-phase tick: every agent draws its rule and move
     from a stream keyed on (seed, time, id) and the time-t state, then
@@ -81,14 +109,15 @@ def agent_tick(env: Environment) -> Environment:
     stimulus = float(env.params.get("stimulus", 1.0))
     intents = {}
     for agent in env.agents():
-        rng = random.Random(((env.seed * 1_000_003 + env.time) * 1_000_003) + agent.id)
+        stream = agent_stream(env.seed, env.time, agent.id)
+        rule_draw, move_draw = stream.next(), stream.next()
         strategy = agent.strategy
         idx = 0
         if strategy.weights is not None:
             total = sum(strategy.weights)
             if total <= 0.0:
                 raise DegenerateStrategyError(f"agent {agent.id} has an all-zero weight vector")
-            u = rng.random() * total
+            u = (rule_draw >> 11) / 2**53 * total
             acc = 0.0
             idx = len(strategy.weights) - 1
             for i, w in enumerate(strategy.weights):
@@ -107,7 +136,7 @@ def agent_tick(env: Environment) -> Environment:
         target = None
         if env.space is not None and "position" in updated.attributes:
             x, y = updated.attributes["position"]
-            dx, dy = env.space.topology.offsets[rng.randrange(env.space.topology.degree)]
+            dx, dy = env.space.topology.offsets[move_draw * env.space.topology.degree // 2**64]
             target = (x + dx, y + dy)
         intents[agent.id] = (updated, target)
 

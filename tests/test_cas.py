@@ -12,7 +12,10 @@ from complexkit.cas import (
     Frame,
     FrameError,
     Population,
+    Rule,
     Strategy,
+    _counter,
+    _draw,
     double_on_second_rule,
     linear_rule,
     observe,
@@ -275,7 +278,7 @@ def scenarios(draw):
                      topology=topology)
     return Environment(
         populations=populations,
-        seed=draw(st.integers(0, 2**40), label="seed"),
+        seed=draw(st.integers(-2**65, 2**65), label="seed"),
         time=draw(st.integers(0, 30), label="time"),
         space=space,
         params={"stimulus": draw(st.sampled_from([1.0, 0.7, 1.3, -0.4]), label="stimulus")},
@@ -320,3 +323,44 @@ def test_zero_ticks_returns_the_input_env():
     env = build_environment(SCENARIO)
     out, metrics = run_scenario(env, 0)
     assert out is env and metrics == []
+
+
+def test_stream_matches_the_published_splitmix64_outputs():
+    # SplitMix64 from state 0 (Steele, Lea & Flood 2014, reference code).
+    assert [_draw(0, j) for j in range(3)] == [
+        0xE220A8397B1DCDAF, 0x6E789E6AA1B965F4, 0x06C45D188009454F,
+    ]
+
+
+@pytest.mark.parametrize("seed", [11, -2**70 - 3])
+def test_counter_is_injective_in_time_and_id(seed):
+    # The block around 1_000_003 met agent 0's stream one tick later under
+    # the old (seed * 1_000_003 + time) * 1_000_003 + id key.
+    ids = [*range(4096), *range(1_000_003 - 2048, 1_000_003 + 2048)]
+    counters = {_counter(seed, time, agent_id) for time in range(64) for agent_id in ids}
+    assert len(counters) == 64 * len(ids)
+    edges = [(0, 0), (0, 2**32 - 1), (2**32 - 1, 0), (2**32 - 1, 2**32 - 1), (1, 0)]
+    assert len({_counter(seed, t, a) for t, a in edges}) == len(edges)
+
+
+@pytest.mark.parametrize("topology", [Topology.SQUARE, Topology.HEX])
+def test_engine_draws_rules_and_moves_with_the_expected_frequencies(topology):
+    # Zero responses keep the weights at [1, 3]; 50 cells between agents
+    # keep 20 ticks of moves from ever colliding.
+    drawn = []
+    rules = tuple(Rule(f"r{k}", lambda s, mem, k=k: drawn.append(k) or 0.0) for k in (0, 1))
+    agents = tuple(Agent(i, "t", Strategy(rules, (1.0, 3.0)), {"position": (50 * i, 0)})
+                   for i in range(1000))
+    env = Environment((Population("p", agents),), seed=31,
+                      space=Grid([a.attributes["position"] for a in agents], topology))
+    moves = []
+    for _ in range(20):
+        before = [a.attributes["position"] for a in env.agents()]
+        env = tick(env)
+        moves += [(x1 - x0, y1 - y0) for (x0, y0), (x1, y1)
+                  in zip(before, (a.attributes["position"] for a in env.agents()))]
+    assert len(drawn) == len(moves) == 20_000
+    assert abs(drawn.count(1) / len(drawn) - 0.75) <= 0.01
+    for offset in topology.offsets:
+        assert abs(moves.count(offset) / len(moves) - 1 / topology.degree) <= 0.01
+    assert len(set(moves)) == topology.degree

@@ -1,11 +1,13 @@
 """Golden fixtures: sha256 digests of trajectories and CLI outputs.
 
-The digests were taken from the replace-based agent tick, before the
-array-based engine replaced it; any change to the agent engine must keep
-every one of them. A change that means to move a trajectory (a new random
-stream, say) regenerates them and says so. To regenerate, run
-``PYTHONPATH=src python tests/test_golden.py`` from the repository root
-and paste the ``GOLDEN`` literal it prints over the one below.
+The digests were taken by this module's ``main`` on the commit "Draw
+agent randomness from a counter-based SplitMix64 stream", which replaced
+the Mersenne Twister the agent engine reseeded per agent and tick. Any
+other change to the agent engine must keep every one of them; a change
+that means to move a trajectory regenerates them and says so. To
+regenerate, run ``PYTHONPATH=src python tests/test_golden.py`` from the
+repository root and paste the ``GOLDEN`` literal it prints over the one
+below.
 """
 
 import contextlib
