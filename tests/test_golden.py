@@ -46,12 +46,12 @@ MIXED_SCENARIO = {
 }
 
 GOLDEN = {
-    "cas_snapshot": "383e40499d55a36f1dd4fae577136e346c73cac514ea7e06f57353243c5cc9a7",
-    "cas_metrics": "3fd50ce7d3dc52845f7b9dd5c1797698b0069d6a0cc6ab799afd51016750e9e1",
-    "mixed_permuted_snapshot": "15022e2a938a13eba20f5ccbd491938a091f586c7a6e481a3c4f19599cde99f6",
-    "mixed_permuted_metrics": "52ae3b1d0c017a66af7bc69164be44349c4d45be1e68812cd1652855ff176615",
-    "cas_run_csv": "acb102a05eddf48ba0d3c5cf4e26393453757b51683c28525e2218e81ef24c65",
-    "ga_coevolve_csv": "0a8d884a42d45515eeb3016ed324781174b56edc6edab199b8c214d1d09a0627",
+    "cas_snapshot": "576ff1b0ed0d13408de528eb59c70aad308349556edadbe280672c777d86411f",
+    "cas_metrics": "9142000e1e997b85acd858dd3ada466218eef92ee2211f00ae6e631a2442ad45",
+    "mixed_permuted_snapshot": "85e54ed7830cc9d99ca56c67866afb2b69009c0b06dd0bb1a519a6ac562bdb76",
+    "mixed_permuted_metrics": "9e5d2e6816d45862b130f737eea8434cdc94d94962ee1d0097e9360476910cd9",
+    "cas_run_csv": "86e6fb0f5da5b3973df32e9afa2e24312356af2c2d64ad3d3038d76d449656ff",
+    "ga_coevolve_csv": "20ed441b4c177eeec94ca0e30f125003b7156d32259b305e058394895613c964",
 }
 
 
