@@ -1,10 +1,12 @@
 """Golden fixtures: sha256 digests of trajectories and CLI outputs.
 
-The digests were taken by this module's ``main`` on the commit "Draw
-agent randomness from a counter-based SplitMix64 stream", which replaced
-the Mersenne Twister the agent engine reseeded per agent and tick. Any
-other change to the agent engine must keep every one of them; a change
-that means to move a trajectory regenerates them and says so. To
+The agent digests were taken by this module's ``main`` on the commit
+"Draw agent randomness from a counter-based SplitMix64 stream", which
+replaced the Mersenne Twister the agent engine reseeded per agent and
+tick. The dynamics digests were taken on the commit before the
+Lyapunov estimators stopped materialising the orbit. Any other change
+to the engines must keep every one of them; a change that means to move
+a trajectory regenerates them and says so. To
 regenerate, run ``PYTHONPATH=src python tests/test_golden.py`` from the
 repository root and paste the ``GOLDEN`` literal it prints over the one
 below.
@@ -13,6 +15,7 @@ below.
 import contextlib
 import hashlib
 import json
+import math
 import random
 import sys
 import tempfile
@@ -20,6 +23,13 @@ from pathlib import Path
 
 from complexkit.cas import Environment, Population, snapshot
 from complexkit.cli import execute
+from complexkit.dynamics import (
+    Branch,
+    IterativeMap,
+    divergence_rate,
+    divergence_rate_two_trajectory,
+    iterate,
+)
 from complexkit.scenario import build_environment, run_scenario
 
 from test_acceptance import CAS_SCENARIO
@@ -45,6 +55,15 @@ MIXED_SCENARIO = {
     ],
 }
 
+# Three branches that keep [0, 1] invariant: logistic, tent and sine.
+# Each dynamics digest pairs a result with the rng's next draw, so a
+# change in how many draws a call takes shows too.
+STOCHASTIC_MAP = IterativeMap((
+    Branch(lambda x: 3.9 * x * (1.0 - x), lambda x: 3.9 * (1.0 - 2.0 * x), 0.5),
+    Branch(lambda x: 1.98 * min(x, 1.0 - x), lambda x: 1.98 if x < 0.5 else -1.98, 0.3),
+    Branch(lambda x: math.sin(math.pi * x), lambda x: math.pi * math.cos(math.pi * x), 0.2),
+))
+
 GOLDEN = {
     "cas_snapshot": "576ff1b0ed0d13408de528eb59c70aad308349556edadbe280672c777d86411f",
     "cas_metrics": "9142000e1e997b85acd858dd3ada466218eef92ee2211f00ae6e631a2442ad45",
@@ -52,6 +71,11 @@ GOLDEN = {
     "mixed_permuted_metrics": "9e5d2e6816d45862b130f737eea8434cdc94d94962ee1d0097e9360476910cd9",
     "cas_run_csv": "86e6fb0f5da5b3973df32e9afa2e24312356af2c2d64ad3d3038d76d449656ff",
     "ga_coevolve_csv": "20ed441b4c177eeec94ca0e30f125003b7156d32259b305e058394895613c964",
+    "dynamics_lyapunov_csv": "3d9c59b000a1d70501d51e63e1e954a2b42261027c4e5864172521fba97ae233",
+    "dynamics_sweep_csv": "223e5e4e29b4169db9bb9d2dc7768246afcf0dc44be19231beeba005bed7f57c",
+    "stochastic_iterate": "263a3024a0c334735bba794849737b407badf050df1d5aa95ac5992b5648519e",
+    "stochastic_divergence_rate": "72c65362c55aa24f84576aa0bb4a1f9c687aae95571a3011d28f3a2c734b7588",
+    "stochastic_two_trajectory": "ce0c5b9bdeaec1977933e1c4fb5ba73a577dd1767a8c42f208df39ff984546cf",
 }
 
 
@@ -95,6 +119,36 @@ def ga_coevolve_csv_digest(tmp_path: Path) -> str:
     return digest(out.read_bytes())
 
 
+def dynamics_lyapunov_csv_digest(tmp_path: Path) -> str:
+    out = tmp_path / "lyapunov.csv"
+    assert execute([
+        "dynamics", "lyapunov", "--r", "4.0", "--x0", "0.3", "--steps", "20000",
+        "--seed", "1", "--out", str(out),
+    ]) == 0
+    return digest(out.read_bytes())
+
+
+def dynamics_sweep_csv_digest(tmp_path: Path) -> str:
+    out = tmp_path / "sweep.csv"
+    assert execute([
+        "dynamics", "sweep", "--r-from", "2.5", "--r-to", "4.0", "--r-step", "0.1",
+        "--steps", "2000", "--burnin", "500", "--seed", "1", "--out", str(out),
+    ]) == 0
+    return digest(out.read_bytes())
+
+
+def stochastic_digests() -> tuple[str, str, str]:
+    rng = random.Random(31)
+    traj = iterate(STOCHASTIC_MAP, 0.3, 500, rng)
+    orbit = digest((traj.states, traj.branch_log, rng.random()))
+    rng = random.Random(32)
+    lam = divergence_rate(STOCHASTIC_MAP, 0.3, 5000, burn_in=100, rng=rng)
+    rate = digest((lam, rng.random()))
+    rng = random.Random(33)
+    lam = divergence_rate_two_trajectory(STOCHASTIC_MAP, 0.3, 5000, burn_in=100, rng=rng)
+    return orbit, rate, digest((lam, rng.random()))
+
+
 def test_acceptance_scenario_trajectory():
     assert trajectory_digests(build_environment(CAS_SCENARIO), 100) == (
         GOLDEN["cas_snapshot"], GOLDEN["cas_metrics"])
@@ -115,10 +169,27 @@ def test_ga_coevolve_csv_bytes(tmp_path):
     assert ga_coevolve_csv_digest(tmp_path) == GOLDEN["ga_coevolve_csv"]
 
 
+def test_dynamics_lyapunov_csv_bytes(tmp_path):
+    assert dynamics_lyapunov_csv_digest(tmp_path) == GOLDEN["dynamics_lyapunov_csv"]
+
+
+def test_dynamics_sweep_csv_bytes(tmp_path):
+    assert dynamics_sweep_csv_digest(tmp_path) == GOLDEN["dynamics_sweep_csv"]
+
+
+def test_stochastic_map_results_and_draws():
+    assert stochastic_digests() == (
+        GOLDEN["stochastic_iterate"],
+        GOLDEN["stochastic_divergence_rate"],
+        GOLDEN["stochastic_two_trajectory"],
+    )
+
+
 def main() -> None:
     """Print the current digests as a ``GOLDEN`` literal to paste above."""
     cas = trajectory_digests(build_environment(CAS_SCENARIO), 100)
     mixed = trajectory_digests(permuted(build_environment(MIXED_SCENARIO)), 60)
+    stochastic = stochastic_digests()
     # The CLI's own stdout goes to stderr, so stdout holds only the literal.
     with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(sys.stderr):
         current = {
@@ -128,6 +199,11 @@ def main() -> None:
             "mixed_permuted_metrics": mixed[1],
             "cas_run_csv": cas_run_csv_digest(Path(tmp)),
             "ga_coevolve_csv": ga_coevolve_csv_digest(Path(tmp)),
+            "dynamics_lyapunov_csv": dynamics_lyapunov_csv_digest(Path(tmp)),
+            "dynamics_sweep_csv": dynamics_sweep_csv_digest(Path(tmp)),
+            "stochastic_iterate": stochastic[0],
+            "stochastic_divergence_rate": stochastic[1],
+            "stochastic_two_trajectory": stochastic[2],
         }
     print("GOLDEN = {")
     for name, value in current.items():
