@@ -5,16 +5,22 @@ drawn by probability at every step). The per-step divergence exponent
 (Lyapunov exponent) is estimated from the map's derivative along the
 realized trajectory, with a two-trajectory renormalization method kept
 as an independent cross-check.
+
+Every function here steps the orbit through one branch stream, built
+once per call, that yields each step's branch. Both estimators stream
+the orbit in O(1) memory; only ``iterate`` materialises it, as a
+``Trajectory``.
 """
 
 from __future__ import annotations
 
+import itertools
 import logging
 import math
 import random
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 log = logging.getLogger(__name__)
 
@@ -72,6 +78,10 @@ def identity_map() -> IterativeMap:
     return IterativeMap((Branch(lambda x: x, lambda x: 1.0),))
 
 
+# One step of an orbit: the chosen branch's index, function and derivative.
+Step = tuple[int, Callable[[float], float], Callable[[float], float]]
+
+
 @dataclass(frozen=True)
 class Trajectory:
     """States x0..xn plus, for stochastic maps, the branch chosen per step."""
@@ -93,28 +103,68 @@ def weighted_index(weights: Sequence[float], total: float, u: float) -> int:
     return len(weights) - 1
 
 
-def _choose_branch(m: IterativeMap, rng: random.Random) -> int:
+def _branch_stream(m: IterativeMap, rng: random.Random | None) -> Iterator[Step]:
+    """The ``(index, fn, deriv)`` of every step: one repeated tuple for a
+    deterministic map, which never draws, otherwise one ``rng`` draw per
+    step. Callers zip a ``range`` first with it, so the stream is never
+    pulled, and ``rng`` never drawn, past the last step."""
+    steps = [(i, b.fn, b.deriv) for i, b in enumerate(m.branches)]
     if m.deterministic:
-        return 0
-    return weighted_index(m.probabilities, 1.0, rng.random())
+        return itertools.repeat(steps[0])
+    return _drawn_steps(steps, m.probabilities, rng.random)
 
 
-def iterate(m: IterativeMap, x0: float, n: int, rng: random.Random | None = None) -> Trajectory:
-    """Iterate the map ``n`` steps from ``x0``; deterministic maps ignore rng."""
-    if n < 0:
-        raise ValueError(f"step count must be >= 0, got {n}")
+def _drawn_steps(
+    steps: list[Step], probabilities: tuple[float, ...], draw: Callable[[], float]
+) -> Iterator[Step]:
+    while True:
+        yield steps[weighted_index(probabilities, 1.0, draw())]
+
+
+def _check_orbit(m: IterativeMap, x0: float, rng: random.Random | None) -> None:
     if not math.isfinite(x0):
         raise ValueError(f"x0 must be finite, got {x0}")
     if not m.deterministic and rng is None:
         raise ValueError("stochastic maps need a random stream")
+
+
+def _check_estimate(
+    m: IterativeMap, x0: float, n: int, burn_in: int, rng: random.Random | None
+) -> None:
+    """The argument checks both exponent estimators share, in this order."""
+    if n < 1:
+        raise ValueError(f"need n >= 1 steps, got {n}")
+    if burn_in < 0:
+        raise ValueError(f"burn-in must be >= 0, got {burn_in}")
+    _check_orbit(m, x0, rng)
+
+
+def _burn_in(x: float, burn_in: int, stream: Iterator[Step]) -> float:
+    """Step ``x`` through steps 1..burn_in of ``stream``; returns the state."""
+    isfinite = math.isfinite
+    for t, (_, fn, _) in zip(range(1, burn_in + 1), stream):
+        x = fn(x)
+        if not isfinite(x):
+            raise DivergenceError(t, x)
+    return x
+
+
+def iterate(m: IterativeMap, x0: float, n: int, rng: random.Random | None = None) -> Trajectory:
+    """Iterate the map ``n`` steps from ``x0``; deterministic maps ignore rng.
+
+    The only function here that materialises an orbit: the estimators
+    below stream theirs in O(1) memory.
+    """
+    if n < 0:
+        raise ValueError(f"step count must be >= 0, got {n}")
+    _check_orbit(m, x0, rng)
     states = [x0]
     branch_log = []
     x = x0
-    for t in range(n):
-        i = _choose_branch(m, rng) if rng is not None else 0
-        x = m.branches[i].fn(x)
+    for t, (i, fn, _) in zip(range(1, n + 1), _branch_stream(m, rng)):
+        x = fn(x)
         if not math.isfinite(x):
-            raise DivergenceError(t + 1, x)
+            raise DivergenceError(t, x)
         states.append(x)
         branch_log.append(i)
     return Trajectory(states=tuple(states), branch_log=tuple(branch_log))
@@ -132,22 +182,25 @@ def divergence_rate(
     Positive values signal exponential divergence of nearby trajectories,
     negative values contraction. Points with derivative exactly zero are
     floored at ln(DERIVATIVE_FLOOR) rather than aborting the run; one
-    warning after the loop gives their count.
+    warning after the loop gives their count. The orbit is streamed: each
+    step takes the branch's derivative at the current state, then its
+    image, so memory stays O(1) in ``burn_in + n``.
     """
-    if n < 1:
-        raise ValueError(f"need n >= 1 steps, got {n}")
-    if burn_in < 0:
-        raise ValueError(f"burn-in must be >= 0, got {burn_in}")
-    traj = iterate(m, x0, burn_in + n, rng)
+    _check_estimate(m, x0, n, burn_in, rng)
+    stream = _branch_stream(m, rng)
+    x = _burn_in(x0, burn_in, stream)
+    isfinite, log_ = math.isfinite, math.log
     total = 0.0
     floors = 0
-    for t in range(burn_in, burn_in + n):
-        i = traj.branch_log[t]
-        d = abs(m.branches[i].deriv(traj.states[t]))
+    for t, (_, fn, deriv) in zip(range(burn_in + 1, burn_in + n + 1), stream):
+        d = abs(deriv(x))
         if d == 0.0:
             floors += 1
             d = DERIVATIVE_FLOOR
-        total += math.log(d)
+        total += log_(d)
+        x = fn(x)
+        if not isfinite(x):
+            raise DivergenceError(t, x)
     if floors:
         log.warning("zero derivative at %d of %d steps; floored at %g", floors, n, DERIVATIVE_FLOOR)
     return total / n
@@ -164,27 +217,20 @@ def divergence_rate_two_trajectory(
     """Independent exponent estimate from a renormalized companion trajectory.
 
     Tracks a second trajectory offset by ``delta0``, accumulating the log
-    separation growth each step and rescaling the offset back to ``delta0``.
-    Stochastic maps apply the same branch to both trajectories.
+    separation growth each step and rescaling the offset back to ``delta0``
+    (Benettin et al. 1980). Stochastic maps apply the same branch to both
+    trajectories. Checks its arguments as ``divergence_rate`` does and
+    streams the orbit the same way.
     """
-    if n < 1:
-        raise ValueError(f"need n >= 1 steps, got {n}")
-    if not m.deterministic and rng is None:
-        raise ValueError("stochastic maps need a random stream")
-    x = x0
-    for t in range(burn_in):
-        i = _choose_branch(m, rng) if rng is not None else 0
-        x = m.branches[i].fn(x)
-        if not math.isfinite(x):
-            raise DivergenceError(t + 1, x)
+    _check_estimate(m, x0, n, burn_in, rng)
+    stream = _branch_stream(m, rng)
+    x = _burn_in(x0, burn_in, stream)
     y = x + delta0
     total = 0.0
-    for t in range(n):
-        i = _choose_branch(m, rng) if rng is not None else 0
-        fn = m.branches[i].fn
+    for t, (_, fn, _) in zip(range(burn_in + 1, burn_in + n + 1), stream):
         x, y = fn(x), fn(y)
         if not math.isfinite(x) or not math.isfinite(y):
-            raise DivergenceError(burn_in + t + 1, x if not math.isfinite(x) else y)
+            raise DivergenceError(t, x if not math.isfinite(x) else y)
         sep = abs(y - x)
         if sep == 0.0:
             total += math.log(DERIVATIVE_FLOOR)

@@ -6,15 +6,26 @@ text and sharing no code with the engines. The agent oracle is the
 original immutable tick: it rebuilds every agent with
 ``dataclasses.replace`` each tick and draws from a fresh SplitMix64
 generator per agent, written here from Steele, Lea & Flood (2014) and
-sharing no engine code either.
+sharing no engine code either. The dynamics oracle is the
+materialising Lyapunov estimator the streamed one replaced: it builds
+the whole orbit with a per-step branch choice, then reads it back.
 """
 
+import logging
 import math
+import random
 from dataclasses import replace
 
 import numpy as np
 
 from complexkit.cas import DegenerateStrategyError, Environment, Population
+from complexkit.dynamics import (
+    DERIVATIVE_FLOOR,
+    DivergenceError,
+    IterativeMap,
+    Trajectory,
+    weighted_index,
+)
 from complexkit.grid import Grid
 
 MOORE = tuple((dx, dy) for dx in (-1, 0, 1) for dy in (-1, 0, 1) if (dx, dy) != (0, 0))
@@ -182,3 +193,70 @@ def agent_run(env: Environment, ticks: int, tick=agent_tick):
             {"tick": env.time, "agents": len(env.agents()), "mean_response": mean, "mean_reward": mean}
         )
     return env, metrics
+
+
+dynamics_log = logging.getLogger("oracles.dynamics")
+
+
+def _choose_branch(m: IterativeMap, rng: random.Random) -> int:
+    if m.deterministic:
+        return 0
+    return weighted_index(m.probabilities, 1.0, rng.random())
+
+
+def materialised_iterate(
+    m: IterativeMap, x0: float, n: int, rng: random.Random | None = None
+) -> Trajectory:
+    """Iterate the map ``n`` steps from ``x0``; deterministic maps ignore rng."""
+    if n < 0:
+        raise ValueError(f"step count must be >= 0, got {n}")
+    if not math.isfinite(x0):
+        raise ValueError(f"x0 must be finite, got {x0}")
+    if not m.deterministic and rng is None:
+        raise ValueError("stochastic maps need a random stream")
+    states = [x0]
+    branch_log = []
+    x = x0
+    for t in range(n):
+        i = _choose_branch(m, rng) if rng is not None else 0
+        x = m.branches[i].fn(x)
+        if not math.isfinite(x):
+            raise DivergenceError(t + 1, x)
+        states.append(x)
+        branch_log.append(i)
+    return Trajectory(states=tuple(states), branch_log=tuple(branch_log))
+
+
+def materialised_divergence_rate(
+    m: IterativeMap,
+    x0: float,
+    n: int,
+    burn_in: int = 1000,
+    rng: random.Random | None = None,
+) -> float:
+    """Per-step divergence exponent from derivatives along the trajectory.
+
+    Positive values signal exponential divergence of nearby trajectories,
+    negative values contraction. Points with derivative exactly zero are
+    floored at ln(DERIVATIVE_FLOOR) rather than aborting the run; one
+    warning after the loop gives their count.
+    """
+    if n < 1:
+        raise ValueError(f"need n >= 1 steps, got {n}")
+    if burn_in < 0:
+        raise ValueError(f"burn-in must be >= 0, got {burn_in}")
+    traj = materialised_iterate(m, x0, burn_in + n, rng)
+    total = 0.0
+    floors = 0
+    for t in range(burn_in, burn_in + n):
+        i = traj.branch_log[t]
+        d = abs(m.branches[i].deriv(traj.states[t]))
+        if d == 0.0:
+            floors += 1
+            d = DERIVATIVE_FLOOR
+        total += math.log(d)
+    if floors:
+        dynamics_log.warning(
+            "zero derivative at %d of %d steps; floored at %g", floors, n, DERIVATIVE_FLOOR
+        )
+    return total / n

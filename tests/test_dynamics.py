@@ -1,7 +1,11 @@
+import contextlib
+import logging
 import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from complexkit.dynamics import (
     Branch,
@@ -13,6 +17,8 @@ from complexkit.dynamics import (
     iterate,
     logistic_map,
 )
+
+from oracles import materialised_divergence_rate
 
 
 def brute_force_logistic_lambda(r, x0, n, burn_in):
@@ -142,3 +148,99 @@ def test_two_trajectory_cross_check():
 def test_two_trajectory_contracting_case():
     lam = divergence_rate_two_trajectory(logistic_map(2.5), 0.3, 5_000, burn_in=1000)
     assert abs(lam - math.log(0.5)) < 0.05
+
+
+def test_two_trajectory_rejects_negative_burn_in():
+    with pytest.raises(ValueError, match="burn-in must be >= 0, got -5"):
+        divergence_rate_two_trajectory(logistic_map(4.0), 0.3, 1000, burn_in=-5)
+
+
+def test_two_trajectory_rejects_nonfinite_start():
+    with pytest.raises(ValueError, match="x0 must be finite, got nan"):
+        divergence_rate_two_trajectory(logistic_map(4.0), float("nan"), 1000)
+
+
+def _branch(kind: str, a: float, p: float) -> Branch:
+    if kind == "logistic":
+        return Branch(lambda x: a * x * (1.0 - x), lambda x: a * (1.0 - 2.0 * x), p)
+    if kind == "constant":  # derivative zero everywhere: every step floors
+        return Branch(lambda x: a, lambda x: 0.0, p)
+    if kind == "cliff":  # climbs by 1 until x reaches a, then leaves the reals
+        return Branch(lambda x: x + 1.0 if x < a else math.inf, lambda x: 1.0, p)
+    return Branch(lambda x: a * x, lambda x: a, p)  # "scale"; overflows for large a
+
+
+BRANCH_PARAMETERS = {
+    "logistic": st.floats(0.0, 4.0),
+    "constant": st.floats(-1.0, 1.0),
+    "cliff": st.integers(0, 150).map(float),
+    "scale": st.sampled_from([0.5, -2.0, 1e10, 1e100]),
+}
+
+
+@st.composite
+def maps(draw) -> IterativeMap:
+    kinds = draw(st.lists(st.sampled_from(sorted(BRANCH_PARAMETERS)), min_size=1, max_size=3))
+    weights = draw(st.lists(st.integers(0, 4), min_size=len(kinds), max_size=len(kinds)))
+    if sum(weights) == 0:
+        weights[0] = 1
+    return IterativeMap(tuple(
+        _branch(kind, draw(BRANCH_PARAMETERS[kind]), w / sum(weights))
+        for kind, w in zip(kinds, weights)
+    ))
+
+
+@contextlib.contextmanager
+def logged(name: str):
+    """Collect the messages logged to ``name`` inside the block."""
+    messages = []
+    handler = logging.Handler()
+    handler.emit = lambda record: messages.append(record.getMessage())
+    logger = logging.getLogger(name)
+    logger.addHandler(handler)
+    try:
+        yield messages
+    finally:
+        logger.removeHandler(handler)
+
+
+def outcome(estimate, logger: str, m, x0, n, burn_in, seed):
+    """The estimate's value (as hex, so equal means bit-identical) or its
+    error, the warnings it logged, and the rng state it left."""
+    rng = random.Random(seed) if seed is not None else None
+    with logged(logger) as messages:
+        try:
+            result = ("value", estimate(m, x0, n, burn_in, rng).hex())
+        except DivergenceError as exc:
+            result = ("diverged", exc.step)
+        except ValueError as exc:
+            result = ("ValueError", str(exc))
+    return result, messages, rng.getstate() if rng is not None else None
+
+
+def assert_matches_oracle(m, x0, n, burn_in, seed):
+    streamed = outcome(divergence_rate, "complexkit.dynamics", m, x0, n, burn_in, seed)
+    oracle = outcome(materialised_divergence_rate, "oracles.dynamics", m, x0, n, burn_in, seed)
+    assert streamed == oracle
+    return streamed[0]
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    maps(),
+    st.one_of(st.floats(-1.5, 1.5), st.sampled_from([0.0, 0.5, math.nan, math.inf])),
+    st.integers(0, 120),
+    st.integers(-1, 120),
+    st.one_of(st.none(), st.integers(0, 2**32)),
+)
+def test_streamed_divergence_rate_matches_the_materialised_oracle(m, x0, n, burn_in, seed):
+    assert_matches_oracle(m, x0, n, burn_in, seed)
+
+
+@pytest.mark.parametrize("branches", [1, 3])
+@pytest.mark.parametrize("cliff, step", [(4.0, 5), (14.0, 15), (19.0, 20)],
+                         ids=["burn-in", "mid-run", "last-step"])
+def test_blow_up_step_matches_the_oracle(branches, cliff, step):
+    # From 0 the cliff branch blows up at step cliff + 1; burn_in + n = 20.
+    m = IterativeMap(tuple(_branch("cliff", cliff, 1 / branches) for _ in range(branches)))
+    assert assert_matches_oracle(m, 0.0, 10, 10, 7) == ("diverged", step)
