@@ -45,6 +45,8 @@ def _add_shared(p: argparse.ArgumentParser) -> None:
     p.add_argument("--out", default=None, help="primary output path")
     p.add_argument("--metrics", default=None, help="metrics CSV path")
     p.add_argument("--config", default=None, help="JSON config file; flags override it")
+    # Called last for every verb parser, so every flag of the verb is here.
+    p.set_defaults(flags={a.dest: a for a in p._actions})
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -115,9 +117,25 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# The JSON types a config value may have for a flag of each argparse
+# type. bool is an int subclass and is refused separately; a JSON int
+# passes for a float flag unconverted, so CSV echoes keep its text.
+_CONFIG_TYPES = {int: ((int,), "an integer"), float: ((int, float), "a number"),
+                 None: ((str,), "a string")}
+
+
+def _check_config_value(key: str, value: object, flag: argparse.Action) -> None:
+    types, expected = _CONFIG_TYPES[flag.type]
+    if isinstance(value, bool) or not isinstance(value, types):
+        raise ScenarioError(f"config {key} must be {expected}, got {type(value).__name__}")
+    if flag.choices is not None and value not in flag.choices:
+        raise ScenarioError(f"config {key} must be one of {', '.join(flag.choices)}, got {value!r}")
+
+
 def _merge_config(args: argparse.Namespace) -> dict:
-    """Fill flag values left unset from the JSON config file; returns the
-    raw document for subcommands (cas) that read structured sections."""
+    """Fill flag values left unset from the JSON config file, each checked
+    against its flag's type and choices; returns the raw document for
+    subcommands (cas) that read structured sections."""
     doc: dict = {}
     if args.config:
         doc = json.loads(Path(args.config).read_text())
@@ -125,7 +143,9 @@ def _merge_config(args: argparse.Namespace) -> dict:
             raise ScenarioError("config file must contain a JSON object")
         for key, value in doc.items():
             attr = key.replace("-", "_")
-            if hasattr(args, attr) and getattr(args, attr) is None:
+            flag = args.flags.get(attr)
+            if flag is not None and value is not None and getattr(args, attr) is None:
+                _check_config_value(key, value, flag)
                 setattr(args, attr, value)
     if args.seed is None:
         raise ScenarioError("an explicit seed is required (flag --seed or config 'seed')")

@@ -26,7 +26,7 @@ from __future__ import annotations
 import random
 from typing import Mapping
 
-from .cas import Agent, AgentType, Environment, Population, Strategy, _run, rule_from_spec
+from .cas import Agent, AgentType, Environment, Population, Rule, Strategy, _run, rule_from_spec
 from .cas import tick  # noqa: F401  bench/tracing.py rebinds scenario.tick
 from .grid import Grid
 
@@ -39,13 +39,23 @@ def _wrong_type(key: str, expected: str, value: object) -> str:
     return f"scenario {key} must be {expected}, got {type(value).__name__}"
 
 
+def _rule(key: str, spec: object) -> Rule:
+    if not isinstance(spec, Mapping):
+        raise ScenarioError(_wrong_type(key, "an object", spec))
+    return rule_from_spec(spec)
+
+
+def _list(key: str, value: object) -> list | tuple:
+    if not isinstance(value, (list, tuple)):
+        raise ScenarioError(_wrong_type(key, "a list", value))
+    return value
+
+
 def build_environment(config: Mapping) -> Environment:
     if "seed" not in config:
         raise ScenarioError("scenario must declare an explicit seed")
     seed = int(config["seed"])
-    type_specs = config.get("agent_types") or []
-    if not isinstance(type_specs, (list, tuple)):
-        raise ScenarioError(_wrong_type("agent_types", "a list", type_specs))
+    type_specs = _list("agent_types", config.get("agent_types") or [])
     params = {"stimulus": float(config.get("stimulus", 1.0))}
 
     grid_spec = config.get("grid")
@@ -71,15 +81,22 @@ def build_environment(config: Mapping) -> Environment:
             raise ScenarioError("every agent type needs a name")
         count = int(spec.get("count", 1))
         kind = spec.get("strategy", "fixed")
+        at = f"agent_types[{index}]"
         if kind == "fixed":
             if "rule" not in spec:
                 raise ScenarioError(f"fixed type {name!r} needs a 'rule'")
-            strategy = Strategy(rules=(rule_from_spec(spec["rule"]),))
+            strategy = Strategy(rules=(_rule(f"{at}.rule", spec["rule"]),))
         elif kind == "adaptive":
-            rules = tuple(rule_from_spec(r) for r in spec.get("rules", ()))
+            rules = tuple(
+                _rule(f"{at}.rules[{i}]", r)
+                for i, r in enumerate(_list(f"{at}.rules", spec.get("rules", ())))
+            )
             if not rules:
                 raise ScenarioError(f"adaptive type {name!r} needs 'rules'")
-            weights = spec.get("weights", [1.0] * len(rules))
+            weights = _list(f"{at}.weights", spec.get("weights", [1.0] * len(rules)))
+            for i, w in enumerate(weights):
+                if isinstance(w, bool) or not isinstance(w, (int, float)):
+                    raise ScenarioError(_wrong_type(f"{at}.weights[{i}]", "a number", w))
             strategy = Strategy(rules=rules, weights=tuple(float(w) for w in weights))
         else:
             raise ScenarioError(f"unknown strategy kind: {kind!r}")

@@ -164,6 +164,49 @@ def test_cas_scenario_section_of_the_wrong_type_exits_2(tmp_path, capsys, sectio
     assert capsys.readouterr().err == f"error: {message}\n"
 
 
+@pytest.mark.parametrize("agent_type, message", [
+    ({"name": "a", "rule": 5}, "scenario agent_types[0].rule must be an object, got int"),
+    ({"name": "a", "strategy": "adaptive", "rules": [{"kind": "linear"}], "weights": 5},
+     "scenario agent_types[0].weights must be a list, got int"),
+    ({"name": "a", "strategy": "adaptive", "rules": [{"kind": "linear"}], "weights": ["1"]},
+     "scenario agent_types[0].weights[0] must be a number, got str"),
+    ({"name": "a", "strategy": "adaptive", "rules": [5]},
+     "scenario agent_types[0].rules[0] must be an object, got int"),
+], ids=["rule", "weights", "weight", "rules-item"])
+def test_cas_nested_field_of_the_wrong_type_exits_2(tmp_path, capsys, agent_type, message):
+    config = tmp_path / "scenario.json"
+    config.write_text(json.dumps({"seed": 1, "agent_types": [agent_type]}))
+    assert execute(["cas", "run", "--config", str(config)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("argv, doc, message", [
+    (["dynamics", "lyapunov"], {"seed": 1, "steps": "300"},
+     "config steps must be an integer, got str"),
+    (["dynamics", "lyapunov"], {"seed": 1, "steps": 1.5},
+     "config steps must be an integer, got float"),
+    (["life", "run"], {"seed": 1, "gens": "5"}, "config gens must be an integer, got str"),
+    (["dynamics", "lyapunov"], {"seed": True}, "config seed must be an integer, got bool"),
+    (["dynamics", "lyapunov"], {"seed": 1, "r": False}, "config r must be a number, got bool"),
+    (["ga", "run"], {"seed": 1, "problem": "tsp"},
+     "config problem must be one of onemax, coevolve, got 'tsp'"),
+    (["life", "run"], {"seed": 1, "pattern": 5}, "config pattern must be a string, got int"),
+], ids=["int-as-str", "int-as-float", "life-gens", "bool-seed", "bool-float", "choice", "path"])
+def test_config_value_of_the_wrong_type_exits_2(tmp_path, capsys, argv, doc, message):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(doc))
+    assert execute([*argv, "--config", str(config)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_config_int_for_a_float_flag_keeps_its_text(tmp_path):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"seed": 1, "r": 4, "x0": 0.25, "steps": 50, "burnin": 0}))
+    out = tmp_path / "lyap.csv"
+    assert execute(["dynamics", "lyapunov", "--config", str(config), "--out", str(out)]) == 0
+    assert out.read_text().splitlines()[1].startswith("logistic,4,0.25,50,0,")
+
+
 def test_cas_run_flag_overrides_config(tmp_path):
     config = tmp_path / "scenario.json"
     config.write_text(json.dumps(SCENARIO))
