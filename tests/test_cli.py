@@ -168,8 +168,8 @@ def test_cas_scenario_section_of_the_wrong_type_exits_2(tmp_path, capsys, sectio
     ({"name": "a", "rule": 5}, "scenario agent_types[0].rule must be an object, got int"),
     ({"name": "a", "strategy": "adaptive", "rules": [{"kind": "linear"}], "weights": 5},
      "scenario agent_types[0].weights must be a list, got int"),
-    ({"name": "a", "strategy": "adaptive", "rules": [{"kind": "linear"}], "weights": ["1"]},
-     "scenario agent_types[0].weights[0] must be a number, got str"),
+    ({"name": "a", "strategy": "adaptive", "rules": [{"kind": "linear"}], "weights": [[1]]},
+     "scenario agent_types[0].weights[0] must be a number, got list"),
     ({"name": "a", "strategy": "adaptive", "rules": [5]},
      "scenario agent_types[0].rules[0] must be an object, got int"),
 ], ids=["rule", "weights", "weight", "rules-item"])

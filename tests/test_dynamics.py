@@ -222,7 +222,7 @@ def assert_matches_oracle(m, x0, n, burn_in, seed):
     streamed = outcome(divergence_rate, "complexkit.dynamics", m, x0, n, burn_in, seed)
     oracle = outcome(materialised_divergence_rate, "oracles.dynamics", m, x0, n, burn_in, seed)
     assert streamed == oracle
-    return streamed[0]
+    return streamed
 
 
 @settings(max_examples=400, deadline=None)
@@ -243,4 +243,11 @@ def test_streamed_divergence_rate_matches_the_materialised_oracle(m, x0, n, burn
 def test_blow_up_step_matches_the_oracle(branches, cliff, step):
     # From 0 the cliff branch blows up at step cliff + 1; burn_in + n = 20.
     m = IterativeMap(tuple(_branch("cliff", cliff, 1 / branches) for _ in range(branches)))
-    assert assert_matches_oracle(m, 0.0, 10, 10, 7) == ("diverged", step)
+    assert assert_matches_oracle(m, 0.0, 10, 10, 7)[0] == ("diverged", step)
+
+
+def test_floor_warning_matches_the_oracle():
+    # The constant branch floors every step it is drawn on.
+    m = IterativeMap((_branch("constant", 0.5, 0.5), _branch("logistic", 4.0, 0.5)))
+    _, messages, _ = assert_matches_oracle(m, 0.3, 200, 5, 3)
+    assert len(messages) == 1 and messages[0].startswith("zero derivative at ")
