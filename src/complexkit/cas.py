@@ -63,19 +63,6 @@ def double_on_second_rule() -> Rule:
     return Rule("double-on-second", lambda s, mem: 0.0 if len(mem) % 2 == 0 else 2.0 * s)
 
 
-_RULE_BUILDERS = {
-    "linear": lambda spec: linear_rule(float(spec.get("gain", 1.0))),
-    "double_on_second": lambda spec: double_on_second_rule(),
-}
-
-
-def rule_from_spec(spec: Mapping) -> Rule:
-    kind = spec.get("kind")
-    if kind not in _RULE_BUILDERS:
-        raise ValueError(f"unknown rule kind: {kind!r}")
-    return _RULE_BUILDERS[kind](spec)
-
-
 @dataclass(frozen=True)
 class Strategy:
     """Fixed strategies hold exactly one rule and no weights; adaptive

@@ -8,10 +8,13 @@
     complexkit dynamics lyapunov --map logistic --r 4.0 --x0 0.3 --seed 1
     complexkit dynamics sweep --r-from 2.5 --r-to 4.0 --r-step 0.1 --seed 1
 
-Every run requires an explicit seed (flag or config file); flag values
-override config-file values. Exit codes: 0 success, 1 domain error,
-2 I/O, usage, or parse error. Metrics are CSV only and never share a
-stream with log text.
+Every run requires an explicit seed (flag or config file). A flag takes
+its value from argv, else from the ``--config`` JSON file, else from the
+default declared with the flag; a JSON ``null`` leaves the flag unset. A
+config key that is not a flag of the verb (or, for ``cas run``, a scenario
+key) and a value of the wrong JSON kind exit 2 with one line naming the
+key. Exit codes: 0 success, 1 domain error, 2 I/O, usage, or parse error.
+Metrics are CSV only and never share a stream with log text.
 """
 
 from __future__ import annotations
@@ -37,16 +40,15 @@ from .patterns import (
     decode_pattern,
     encode_pattern,
 )
-from .scenario import ScenarioError, build_environment, run_scenario
+from .scenario import ScenarioError, build_environment, checked, run_scenario
 
 
-def _add_shared(p: argparse.ArgumentParser) -> None:
+def _add_shared(p: argparse.ArgumentParser, handler) -> None:
     p.add_argument("--seed", type=int, default=None, help="explicit run seed (required)")
     p.add_argument("--out", default=None, help="primary output path")
     p.add_argument("--metrics", default=None, help="metrics CSV path")
     p.add_argument("--config", default=None, help="JSON config file; flags override it")
-    # Called last for every verb parser, so every flag of the verb is here.
-    p.set_defaults(flags={a.dest: a for a in p._actions})
+    p.set_defaults(handler=handler, command=p)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -58,98 +60,93 @@ def build_parser() -> argparse.ArgumentParser:
     p = life_verbs.add_parser("run", help="step a pattern forward")
     p.add_argument("--pattern", default=None, help="RLE (.rle) or plaintext pattern file")
     p.add_argument("--rule", default=None, help="rule string like B3/S23")
-    p.add_argument("--gens", type=int, default=None)
+    p.add_argument("--gens", type=int, default=0)
     p.add_argument("--topology", choices=["square", "hex"], default="square")
     p.add_argument("--states", type=int, default=None)
     p.add_argument("--frames", default=None, help="directory for per-generation plaintext dumps")
-    _add_shared(p)
+    _add_shared(p, _cmd_life_run)
     p = life_verbs.add_parser("classify", help="classify a pattern's behavior")
     p.add_argument("--pattern", default=None)
     p.add_argument("--rule", default=None)
     p.add_argument("--horizon", type=int, default=64)
-    _add_shared(p)
+    _add_shared(p, _cmd_life_classify)
 
     cas = nouns.add_parser("cas", help="agent-based scenario runs")
     cas_verbs = cas.add_subparsers(dest="verb", required=True)
     p = cas_verbs.add_parser("run", help="run a scenario for n ticks")
-    p.add_argument("--ticks", type=int, default=None)
-    _add_shared(p)
+    p.add_argument("--ticks", type=int, default=0)
+    p.set_defaults(scenario={})  # filled with the config keys that are not flags
+    _add_shared(p, _cmd_cas_run)
 
     ga = nouns.add_parser("ga", help="genetic algorithm runs")
     ga_verbs = ga.add_subparsers(dest="verb", required=True)
     p = ga_verbs.add_parser("run")
-    p.add_argument("--problem", choices=["onemax", "coevolve"], default=None)
-    p.add_argument("--length", type=int, default=None)
-    p.add_argument("--pop", type=int, default=None)
-    p.add_argument("--gens", type=int, default=None)
-    p.add_argument("--mut", type=float, default=None)
-    p.add_argument("--cx", type=float, default=None)
-    p.add_argument("--elite", type=int, default=None)
-    p.add_argument("--tournament", type=int, default=None)
-    _add_shared(p)
+    p.add_argument("--problem", choices=["onemax", "coevolve"], default="onemax")
+    p.add_argument("--length", type=int, default=None, help="default 16 for coevolve, else 64")
+    p.add_argument("--pop", type=int, default=100)
+    p.add_argument("--gens", type=int, default=100)
+    p.add_argument("--mut", type=float, default=0.01)
+    p.add_argument("--cx", type=float, default=0.9)
+    p.add_argument("--elite", type=int, default=2)
+    p.add_argument("--tournament", type=int, default=3)
+    _add_shared(p, _cmd_ga_run)
 
     cpx = nouns.add_parser("complexity", help="information-vs-scale profiles")
     cpx_verbs = cpx.add_subparsers(dest="verb", required=True)
     p = cpx_verbs.add_parser("profile")
     p.add_argument("--pattern", default=None)
     p.add_argument("--rule", default=None)
-    p.add_argument("--gens", type=int, default=None)
-    p.add_argument("--scales", default=None, help="comma-separated, e.g. 1,2,4")
-    _add_shared(p)
+    p.add_argument("--gens", type=int, default=0)
+    p.add_argument("--scales", default="1,2,4", help="comma-separated, e.g. 1,2,4")
+    _add_shared(p, _cmd_complexity_profile)
 
     dyn = nouns.add_parser("dynamics", help="iterative-map diagnostics")
     dyn_verbs = dyn.add_subparsers(dest="verb", required=True)
     p = dyn_verbs.add_parser("lyapunov")
-    p.add_argument("--map", dest="map_name", choices=["logistic"], default="logistic")
-    p.add_argument("--r", type=float, default=None)
-    p.add_argument("--x0", type=float, default=None)
-    p.add_argument("--steps", type=int, default=None)
-    p.add_argument("--burnin", type=int, default=None)
-    _add_shared(p)
+    p.add_argument("--map", choices=["logistic"], default="logistic")
+    p.add_argument("--r", type=float, default=4.0)
+    p.add_argument("--x0", type=float, default=0.3)
+    p.add_argument("--steps", type=int, default=100_000)
+    p.add_argument("--burnin", type=int, default=1000)
+    _add_shared(p, _cmd_dynamics_lyapunov)
     p = dyn_verbs.add_parser("sweep")
     p.add_argument("--r-from", dest="r_from", type=float, default=None)
     p.add_argument("--r-to", dest="r_to", type=float, default=None)
     p.add_argument("--r-step", dest="r_step", type=float, default=None)
-    p.add_argument("--x0", type=float, default=None)
-    p.add_argument("--steps", type=int, default=None)
-    p.add_argument("--burnin", type=int, default=None)
-    _add_shared(p)
+    p.add_argument("--x0", type=float, default=0.3)
+    p.add_argument("--steps", type=int, default=2000)
+    p.add_argument("--burnin", type=int, default=500)
+    _add_shared(p, _cmd_dynamics_sweep)
     return parser
 
 
-# The JSON types a config value may have for a flag of each argparse
-# type. bool is an int subclass and is refused separately; a JSON int
-# passes for a float flag unconverted, so CSV echoes keep its text.
-_CONFIG_TYPES = {int: ((int,), "an integer"), float: ((int, float), "a number"),
-                 None: ((str,), "a string")}
-
-
-def _check_config_value(key: str, value: object, flag: argparse.Action) -> None:
-    types, expected = _CONFIG_TYPES[flag.type]
-    if isinstance(value, bool) or not isinstance(value, types):
-        raise ScenarioError(f"config {key} must be {expected}, got {type(value).__name__}")
-    if flag.choices is not None and value not in flag.choices:
-        raise ScenarioError(f"config {key} must be one of {', '.join(flag.choices)}, got {value!r}")
-
-
-def _merge_config(args: argparse.Namespace) -> dict:
-    """Fill flag values left unset from the JSON config file, each checked
-    against its flag's type and choices; returns the raw document for
-    subcommands (cas) that read structured sections."""
-    doc: dict = {}
+def _merge_config(parser: argparse.ArgumentParser, argv: list[str],
+                  args: argparse.Namespace) -> argparse.Namespace:
+    """Parse ``argv`` again with the config file's values as the verb's
+    defaults, each checked against its flag's type and choices, so argv
+    wins over the config and the config over the declared default. A null
+    value is skipped. Keys that are not flags form ``args.scenario`` where
+    the verb has one, and are refused elsewhere."""
     if args.config:
         doc = json.loads(Path(args.config).read_text())
         if not isinstance(doc, dict):
             raise ScenarioError("config file must contain a JSON object")
+        flags = {a.dest: a for a in args.command._actions if a.dest != "help"}
+        defaults: dict = {}
         for key, value in doc.items():
-            attr = key.replace("-", "_")
-            flag = args.flags.get(attr)
-            if flag is not None and value is not None and getattr(args, attr) is None:
-                _check_config_value(key, value, flag)
-                setattr(args, attr, value)
+            flag = flags.get(key.replace("-", "_"))
+            if flag is None and "scenario" not in args:
+                raise ScenarioError(f"config has unknown key {key!r}")
+            if flag is None:
+                defaults.setdefault("scenario", {})[key] = value
+            elif value is not None:
+                defaults[flag.dest] = checked(f"config {key}", value, flag.type or str,
+                                              flag.choices)
+        args.command.set_defaults(**defaults)
+        args = parser.parse_args(argv)
     if args.seed is None:
         raise ScenarioError("an explicit seed is required (flag --seed or config 'seed')")
-    return doc
+    return args
 
 
 @contextlib.contextmanager
@@ -193,12 +190,11 @@ def _cmd_life_run(args) -> int:
             # Refused before the run, so no frame directory is left behind.
             raise UnsupportedFormatError("pattern codecs support square grids only")
         grid = Grid(dict(grid.cells), topology=Topology.HEX)
-    gens = args.gens if args.gens is not None else 0
     frames_dir = Path(args.frames) if args.frames else None
     if frames_dir:
         frames_dir.mkdir(parents=True, exist_ok=True)
     populations = []
-    for i, final in enumerate(run(grid, rule, gens)):
+    for i, final in enumerate(run(grid, rule, args.gens)):
         if frames_dir:
             (frames_dir / f"frame_{i:06d}.txt").write_text(encode_pattern(final, "plaintext"))
         populations.append(final.population)
@@ -221,14 +217,11 @@ def _cmd_life_classify(args) -> int:
     return 0
 
 
-def _cmd_cas_run(args, doc: dict) -> int:
-    if not doc:
+def _cmd_cas_run(args) -> int:
+    if not args.config:
         raise ScenarioError("cas run needs a scenario --config file")
-    doc = dict(doc)
-    doc["seed"] = args.seed
-    env = build_environment(doc)
-    ticks = args.ticks if args.ticks is not None else int(doc.get("ticks", 0))
-    env, metrics = run_scenario(env, ticks)
+    env = build_environment({**args.scenario, "seed": args.seed})
+    env, metrics = run_scenario(env, args.ticks)
     with _csv_out(args.metrics) as w:
         w.writerow(["tick", "agents", "mean_response", "mean_reward"])
         for row in metrics:
@@ -237,19 +230,18 @@ def _cmd_cas_run(args, doc: dict) -> int:
 
 
 def _cmd_ga_run(args) -> int:
-    problem = args.problem or "onemax"
-    length = args.length if args.length is not None else (16 if problem == "coevolve" else 64)
     cfg = EvolutionConfig(
-        genome_length=length,
-        population_size=args.pop if args.pop is not None else 100,
-        generations=args.gens if args.gens is not None else 100,
-        mutation_rate=args.mut if args.mut is not None else 0.01,
-        crossover_rate=args.cx if args.cx is not None else 0.9,
-        tournament_size=args.tournament if args.tournament is not None else 3,
-        elitism=args.elite if args.elite is not None else 2,
+        genome_length=args.length if args.length is not None else (
+            16 if args.problem == "coevolve" else 64),
+        population_size=args.pop,
+        generations=args.gens,
+        mutation_rate=args.mut,
+        crossover_rate=args.cx,
+        tournament_size=args.tournament,
+        elitism=args.elite,
         seed=args.seed,
     )
-    if problem == "onemax":
+    if args.problem == "onemax":
         fitness = lambda genome: float(sum(1 for s in genome if s == "1"))
     else:
         fitness = episode_fitness()
@@ -265,10 +257,8 @@ def _cmd_ga_run(args) -> int:
 def _cmd_complexity_profile(args) -> int:
     grid, header_rule, _ = _load_pattern(args)
     rule = _resolve_rule(args, header_rule)
-    gens = args.gens if args.gens is not None else 0
-    scales_text = args.scales or "1,2,4"
-    scales = [int(s) for s in str(scales_text).split(",") if s.strip()]
-    profile = complexity_profile(run(grid, rule, gens), scales)
+    scales = [int(s) for s in args.scales.split(",") if s.strip()]
+    profile = complexity_profile(run(grid, rule, args.gens), scales)
     with _csv_out(args.metrics or args.out) as w:
         w.writerow(["scale", "omega", "bits"])
         for census in profile:
@@ -277,15 +267,11 @@ def _cmd_complexity_profile(args) -> int:
 
 
 def _cmd_dynamics_lyapunov(args) -> int:
-    r = args.r if args.r is not None else 4.0
-    x0 = args.x0 if args.x0 is not None else 0.3
-    steps = args.steps if args.steps is not None else 100_000
-    burnin = args.burnin if args.burnin is not None else 1000
     rng = random.Random(args.seed)
-    lam = divergence_rate(logistic_map(r), x0, steps, burn_in=burnin, rng=rng)
+    lam = divergence_rate(logistic_map(args.r), args.x0, args.steps, burn_in=args.burnin, rng=rng)
     with _csv_out(args.metrics or args.out) as w:
         w.writerow(["map", "r", "x0", "steps", "burnin", "lyapunov"])
-        w.writerow([args.map_name, r, x0, steps, burnin, lam])
+        w.writerow([args.map, args.r, args.x0, args.steps, args.burnin, lam])
     return 0
 
 
@@ -294,16 +280,14 @@ def _cmd_dynamics_sweep(args) -> int:
         raise ScenarioError("sweep needs --r-from, --r-to and --r-step")
     if args.r_step <= 0:
         raise ValueError("--r-step must be positive")
-    x0 = args.x0 if args.x0 is not None else 0.3
-    steps = args.steps if args.steps is not None else 2000
-    burnin = args.burnin if args.burnin is not None else 500
     rng = random.Random(args.seed)
     with _csv_out(args.metrics or args.out) as w:
         w.writerow(["r", "lyapunov"])
         k = 0
         r = args.r_from
         while r <= args.r_to + 1e-12:
-            lam = divergence_rate(logistic_map(r), x0, steps, burn_in=burnin, rng=rng)
+            lam = divergence_rate(logistic_map(r), args.x0, args.steps, burn_in=args.burnin,
+                                  rng=rng)
             w.writerow([r, lam])
             k += 1
             r = args.r_from + k * args.r_step
@@ -318,24 +302,7 @@ def execute(argv: list[str]) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:
-        doc = _merge_config(args)
-        command = (args.noun, args.verb)
-        if command == ("life", "run"):
-            return _cmd_life_run(args)
-        if command == ("life", "classify"):
-            return _cmd_life_classify(args)
-        if command == ("cas", "run"):
-            return _cmd_cas_run(args, doc)
-        if command == ("ga", "run"):
-            return _cmd_ga_run(args)
-        if command == ("complexity", "profile"):
-            return _cmd_complexity_profile(args)
-        if command == ("dynamics", "lyapunov"):
-            return _cmd_dynamics_lyapunov(args)
-        if command == ("dynamics", "sweep"):
-            return _cmd_dynamics_sweep(args)
-        parser.error(f"unknown command {command}")
-        return 2
+        return args.handler(_merge_config(parser, argv, args))
     except (PatternFormatError, ScenarioError, json.JSONDecodeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

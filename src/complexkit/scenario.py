@@ -18,15 +18,21 @@ an optional movement grid, and a mandatory seed:
     }
 
 Agents get consecutive ids in declaration order and, when a grid is
-present, distinct seeded start cells inside it.
+present, distinct seeded start cells inside it. ``build_environment``
+reads every value through ``checked``, so a value of the wrong JSON kind
+or out of range, and a key the document's level does not know, raise a
+one-line ScenarioError that names it. ``ticks`` is a known key that only
+the CLI reads.
 """
 
 from __future__ import annotations
 
 import random
+import sys
 from typing import Mapping
 
-from .cas import Agent, AgentType, Environment, Population, Rule, Strategy, _run, rule_from_spec
+from .cas import (Agent, AgentType, Environment, Population, Rule, Strategy, _run,
+                  double_on_second_rule, linear_rule)
 from .cas import tick  # noqa: F401  bench/tracing.py rebinds scenario.tick
 from .grid import Grid
 
@@ -35,71 +41,96 @@ class ScenarioError(ValueError):
     """Scenario document is missing or misusing a field."""
 
 
-def _wrong_type(key: str, expected: str, value: object) -> str:
-    return f"scenario {key} must be {expected}, got {type(value).__name__}"
+# The Python types each JSON kind admits, and its name in messages. bool is
+# an int subclass and is refused for every kind. An integer passes as a
+# number unconverted, so a CSV echo keeps its text, but it must fit in a
+# float, as must every number: Python's json reads NaN, Infinity and
+# integers of any size.
+_KINDS = {int: (int, "an integer"), float: ((int, float), "a number"), str: (str, "a string"),
+          dict: (Mapping, "an object"), list: ((list, tuple), "a list")}
+
+# The keys each level may hold. An agent type's keys depend on its strategy
+# and a rule's on its kind, so these tables also list the choices for both.
+_SCENARIO_KEYS = ("seed", "ticks", "stimulus", "grid", "agent_types")
+_TYPE_KEYS = {"fixed": ("name", "count", "strategy", "rule"),
+              "adaptive": ("name", "count", "strategy", "rules", "weights")}
+_RULE_KEYS = {"linear": ("kind", "gain"), "double_on_second": ("kind",)}
 
 
-def _rule(key: str, spec: object) -> Rule:
-    if not isinstance(spec, Mapping):
-        raise ScenarioError(_wrong_type(key, "an object", spec))
-    return rule_from_spec(spec)
-
-
-def _list(key: str, value: object) -> list | tuple:
-    if not isinstance(value, (list, tuple)):
-        raise ScenarioError(_wrong_type(key, "a list", value))
+def checked(name: str, value, kind: type, choices=None, low=None):
+    """Return ``value`` if it is a JSON value of ``kind`` (int, float, str,
+    dict or list; a float also finite), is one of ``choices`` (for a dict:
+    has only those keys) and is ``>= low``; otherwise raise a one-line
+    ScenarioError naming ``name``."""
+    types, expected = _KINDS[kind]
+    if isinstance(value, bool) or not isinstance(value, types):
+        raise ScenarioError(f"{name} must be {expected}, got {type(value).__name__}")
+    if kind is float and not abs(value) <= sys.float_info.max:  # NaN fails too
+        raise ScenarioError(f"{name} must be a finite number, got {value!r}")
+    if kind is dict and choices is not None:
+        for key in value:
+            if key not in choices:
+                raise ScenarioError(f"{name} has unknown key {key!r}")
+    elif choices is not None and value not in choices:
+        raise ScenarioError(f"{name} must be one of {', '.join(choices)}, got {value!r}")
+    if low is not None and value < low:
+        raise ScenarioError(f"{name} must be >= {low}, got {value}")
     return value
 
 
+def _rule(at: str, spec) -> Rule:
+    checked(at, spec, dict)
+    kind = checked(f"{at}.kind", spec.get("kind"), str, _RULE_KEYS)
+    checked(at, spec, dict, _RULE_KEYS[kind])
+    if kind == "linear":
+        return linear_rule(checked(f"{at}.gain", spec.get("gain", 1.0), float))
+    return double_on_second_rule()
+
+
 def build_environment(config: Mapping) -> Environment:
-    if "seed" not in config:
+    if "seed" not in checked("scenario", config, dict, _SCENARIO_KEYS):
         raise ScenarioError("scenario must declare an explicit seed")
-    seed = int(config["seed"])
-    type_specs = _list("agent_types", config.get("agent_types") or [])
-    params = {"stimulus": float(config.get("stimulus", 1.0))}
+    seed = checked("scenario seed", config["seed"], int)
+    type_specs = checked("scenario agent_types", config.get("agent_types") or [], list)
+    params = {"stimulus": checked("scenario stimulus", config.get("stimulus", 1.0), float)}
 
     grid_spec = config.get("grid")
     placement_rng = random.Random(seed)
     free_cells: list[tuple[int, int]] | None = None
     if grid_spec is not None:
-        if not isinstance(grid_spec, Mapping):
-            raise ScenarioError(_wrong_type("grid", "an object", grid_spec))
+        checked("scenario grid", grid_spec, dict, ("width", "height"))
         for key in ("width", "height"):
             if key not in grid_spec:
                 raise ScenarioError(f"scenario grid needs grid.{key}")
-        width, height = int(grid_spec["width"]), int(grid_spec["height"])
+            checked(f"scenario grid.{key}", grid_spec[key], int, low=1)
+        width, height = grid_spec["width"], grid_spec["height"]
         free_cells = [(x, y) for x in range(width) for y in range(height)]
 
     populations = []
     types = []
     next_id = 0
     for index, spec in enumerate(type_specs):
-        if not isinstance(spec, Mapping):
-            raise ScenarioError(_wrong_type(f"agent_types[{index}]", "an object", spec))
+        at = f"scenario agent_types[{index}]"
+        checked(at, spec, dict)
+        kind = checked(f"{at}.strategy", spec.get("strategy", "fixed"), str, _TYPE_KEYS)
+        checked(at, spec, dict, _TYPE_KEYS[kind])
         name = spec.get("name")
         if not name:
             raise ScenarioError("every agent type needs a name")
-        count = int(spec.get("count", 1))
-        kind = spec.get("strategy", "fixed")
-        at = f"agent_types[{index}]"
+        checked(f"{at}.name", name, str)
+        count = checked(f"{at}.count", spec.get("count", 1), int, low=0)
         if kind == "fixed":
             if "rule" not in spec:
                 raise ScenarioError(f"fixed type {name!r} needs a 'rule'")
             strategy = Strategy(rules=(_rule(f"{at}.rule", spec["rule"]),))
-        elif kind == "adaptive":
-            rules = tuple(
-                _rule(f"{at}.rules[{i}]", r)
-                for i, r in enumerate(_list(f"{at}.rules", spec.get("rules", ())))
-            )
+        else:
+            specs = checked(f"{at}.rules", spec.get("rules", ()), list)
+            rules = tuple(_rule(f"{at}.rules[{i}]", r) for i, r in enumerate(specs))
             if not rules:
                 raise ScenarioError(f"adaptive type {name!r} needs 'rules'")
-            weights = _list(f"{at}.weights", spec.get("weights", [1.0] * len(rules)))
-            for i, w in enumerate(weights):
-                if isinstance(w, bool) or not isinstance(w, (int, float)):
-                    raise ScenarioError(_wrong_type(f"{at}.weights[{i}]", "a number", w))
-            strategy = Strategy(rules=rules, weights=tuple(float(w) for w in weights))
-        else:
-            raise ScenarioError(f"unknown strategy kind: {kind!r}")
+            weights = checked(f"{at}.weights", spec.get("weights", [1.0] * len(rules)), list)
+            strategy = Strategy(rules=rules, weights=tuple(
+                float(checked(f"{at}.weights[{i}]", w, float)) for i, w in enumerate(weights)))
 
         schema = (("position", "integer"),) if free_cells is not None else ()
         types.append(AgentType(name=name, schema=schema))

@@ -185,6 +185,11 @@ def test_scenario_requires_seed():
         build_environment({"agent_types": []})
 
 
+def test_scenario_seed_must_be_an_integer():
+    with pytest.raises(ScenarioError, match="^scenario seed must be an integer, got str$"):
+        build_environment({**SCENARIO, "seed": "5"})
+
+
 def test_run_scenario_metrics():
     env = build_environment(SCENARIO)
     env, metrics = run_scenario(env, 10)

@@ -1,6 +1,13 @@
+import contextlib
+import copy
+import io
 import json
+import os
+import tempfile
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from complexkit.cli import execute
 from complexkit.grid import Grid
@@ -156,7 +163,15 @@ def test_cas_grid_without_height_exits_2(tmp_path, capsys):
     ({"grid": 5}, "scenario grid must be an object, got int"),
     ({"agent_types": [5]}, "scenario agent_types[0] must be an object, got int"),
     ({"agent_types": 5}, "scenario agent_types must be a list, got int"),
-], ids=["grid", "agent-type", "agent-types"])
+    ({"stimulus": {}}, "scenario stimulus must be a number, got dict"),
+    ({"stimulus": "1"}, "scenario stimulus must be a number, got str"),
+    ({"stimulus": float("nan")}, "scenario stimulus must be a finite number, got nan"),
+    ({"grid": {"width": [3], "height": 3}}, "scenario grid.width must be an integer, got list"),
+    ({"grid": {"width": 3, "height": 0}}, "scenario grid.height must be >= 1, got 0"),
+    ({"grid": {"width": 3, "height": 3, "depth": 3}}, "scenario grid has unknown key 'depth'"),
+    ({"agent_type": []}, "scenario has unknown key 'agent_type'"),
+], ids=["grid", "agent-type", "agent-types", "stimulus", "stimulus-str", "stimulus-nan",
+        "grid-width", "grid-height-range", "grid-key", "scenario-key"])
 def test_cas_scenario_section_of_the_wrong_type_exits_2(tmp_path, capsys, section, message):
     config = tmp_path / "scenario.json"
     config.write_text(json.dumps({"seed": 1, **section}))
@@ -172,7 +187,33 @@ def test_cas_scenario_section_of_the_wrong_type_exits_2(tmp_path, capsys, sectio
      "scenario agent_types[0].weights[0] must be a number, got list"),
     ({"name": "a", "strategy": "adaptive", "rules": [5]},
      "scenario agent_types[0].rules[0] must be an object, got int"),
-], ids=["rule", "weights", "weight", "rules-item"])
+    ({"name": "a", "count": [1], "rule": {"kind": "linear"}},
+     "scenario agent_types[0].count must be an integer, got list"),
+    ({"name": "a", "rule": {"kind": "linear", "gain": [1]}},
+     "scenario agent_types[0].rule.gain must be a number, got list"),
+    ({"name": "a", "rule": {"kind": [1]}},
+     "scenario agent_types[0].rule.kind must be a string, got list"),
+    ({"name": "a", "count": 2.7, "rule": {"kind": "linear"}},
+     "scenario agent_types[0].count must be an integer, got float"),
+    ({"name": "a", "count": -3, "rule": {"kind": "linear"}},
+     "scenario agent_types[0].count must be >= 0, got -3"),
+    ({"name": "a", "rule": {"kind": "linear", "gain": "2"}},
+     "scenario agent_types[0].rule.gain must be a number, got str"),
+    ({"name": [1], "rule": {"kind": "linear"}},
+     "scenario agent_types[0].name must be a string, got list"),
+    ({"name": "a", "strategy": "greedy", "rule": {"kind": "linear"}},
+     "scenario agent_types[0].strategy must be one of fixed, adaptive, got 'greedy'"),
+    ({"name": "a", "rule": {"kind": "cubic"}},
+     "scenario agent_types[0].rule.kind must be one of linear, double_on_second, got 'cubic'"),
+    ({"name": "a", "cuont": 3, "rule": {"kind": "linear"}},
+     "scenario agent_types[0] has unknown key 'cuont'"),
+    ({"name": "a", "rule": {"kind": "linear"}, "weights": [1]},
+     "scenario agent_types[0] has unknown key 'weights'"),
+    ({"name": "a", "strategy": "adaptive", "rules": [{"kind": "double_on_second", "gain": 2}]},
+     "scenario agent_types[0].rules[0] has unknown key 'gain'"),
+], ids=["rule", "weights", "weight", "rules-item", "count", "gain", "kind", "count-float",
+        "count-range", "gain-str", "name", "strategy-choice", "kind-choice", "type-key",
+        "fixed-weights", "rule-key"])
 def test_cas_nested_field_of_the_wrong_type_exits_2(tmp_path, capsys, agent_type, message):
     config = tmp_path / "scenario.json"
     config.write_text(json.dumps({"seed": 1, "agent_types": [agent_type]}))
@@ -191,7 +232,15 @@ def test_cas_nested_field_of_the_wrong_type_exits_2(tmp_path, capsys, agent_type
     (["ga", "run"], {"seed": 1, "problem": "tsp"},
      "config problem must be one of onemax, coevolve, got 'tsp'"),
     (["life", "run"], {"seed": 1, "pattern": 5}, "config pattern must be a string, got int"),
-], ids=["int-as-str", "int-as-float", "life-gens", "bool-seed", "bool-float", "choice", "path"])
+    (["dynamics", "lyapunov"], {"seed": 1, "r": 10**400},
+     f"config r must be a finite number, got {10**400}"),
+    (["dynamics", "lyapunov"], {"seed": 1, "map": "tent"},
+     "config map must be one of logistic, got 'tent'"),
+    (["dynamics", "lyapunov"], {"seed": 1, "stpes": 300}, "config has unknown key 'stpes'"),
+    (["dynamics", "lyapunov"], {"seed": 1, "map_name": "logistic"},
+     "config has unknown key 'map_name'"),
+], ids=["int-as-str", "int-as-float", "life-gens", "bool-seed", "bool-float", "choice", "path",
+        "float-range", "map-choice", "unknown-key", "dest-key"])
 def test_config_value_of_the_wrong_type_exits_2(tmp_path, capsys, argv, doc, message):
     config = tmp_path / "config.json"
     config.write_text(json.dumps(doc))
@@ -205,6 +254,41 @@ def test_config_int_for_a_float_flag_keeps_its_text(tmp_path):
     out = tmp_path / "lyap.csv"
     assert execute(["dynamics", "lyapunov", "--config", str(config), "--out", str(out)]) == 0
     assert out.read_text().splitlines()[1].startswith("logistic,4,0.25,50,0,")
+
+
+def test_cas_run_null_ticks_runs_the_declared_default(tmp_path):
+    config = tmp_path / "scenario.json"
+    config.write_text(json.dumps({**SCENARIO, "ticks": None}))
+    metrics = tmp_path / "cas.csv"
+    assert execute(["cas", "run", "--config", str(config), "--metrics", str(metrics)]) == 0
+    assert metrics.read_text() == "tick,agents,mean_response,mean_reward\n"
+
+
+def test_config_fills_a_flag_with_a_declared_default(tmp_path, capsys):
+    blinker = tmp_path / "blinker.rle"
+    blinker.write_text("x = 3, y = 1, rule = B3/S23\n3o!")
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"seed": 1, "horizon": 1}))
+    assert execute(["life", "classify", "--pattern", str(blinker), "--config", str(config)]) == 0
+    by_config = capsys.readouterr().out
+    argv = ["life", "classify", "--pattern", str(blinker), "--horizon", "1", "--seed", "1"]
+    assert execute(argv) == 0
+    assert by_config == capsys.readouterr().out == "unresolved\n"
+
+
+def test_config_topology_matches_the_flags(tmp_path, glider_file):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"seed": 1, "topology": "hex", "rule": "B2/S34", "gens": 2}))
+    by_config, by_flags = tmp_path / "config.csv", tmp_path / "flags.csv"
+    assert execute([
+        "life", "run", "--pattern", str(glider_file), "--config", str(config),
+        "--metrics", str(by_config),
+    ]) == 0
+    assert execute([
+        "life", "run", "--pattern", str(glider_file), "--topology", "hex", "--rule", "B2/S34",
+        "--gens", "2", "--seed", "1", "--metrics", str(by_flags),
+    ]) == 0
+    assert by_config.read_text() == by_flags.read_text() == "generation,population\n0,5\n1,6\n2,3\n"
 
 
 def test_cas_run_flag_overrides_config(tmp_path):
@@ -275,3 +359,91 @@ def test_dynamics_sweep_csv(tmp_path):
     assert lines[0] == "r,lyapunov"
     assert len(lines) == 4  # r = 2.5, 2.75, 3.0
     assert all(float(line.split(",")[1]) < 0.1 for line in lines[1:])
+
+
+# One small document per verb; the fuzz test below edits values at every
+# path inside it. Run sizes stay at 20 or less, so each example takes
+# milliseconds.
+FUZZ_DOCS = {
+    "dynamics lyapunov": {"seed": 1, "map": "logistic", "r": 3.9, "x0": 0.3, "steps": 20,
+                          "burnin": 5, "out": "lyapunov.csv", "metrics": "m.csv"},
+    "ga run": {"seed": 1, "problem": "coevolve", "length": 8, "pop": 6, "gens": 3, "mut": 0.1,
+               "cx": 0.9, "elite": 1, "tournament": 2, "metrics": "ga.csv"},
+    "cas run": {
+        "seed": 1, "ticks": 5, "stimulus": 1.0, "metrics": "cas.csv",
+        "grid": {"width": 4, "height": 4},
+        "agent_types": [
+            {"name": "drone", "count": 3, "strategy": "fixed",
+             "rule": {"kind": "linear", "gain": 1.0}},
+            {"name": "learner", "count": 3, "strategy": "adaptive",
+             "rules": [{"kind": "linear", "gain": 0.5}, {"kind": "double_on_second"}],
+             "weights": [1, 1]},
+        ],
+    },
+}
+FUZZ_KEYS = ["seed", "count", "kind", "width", "rules", "bogus", "map_name", "r_from"]
+FUZZ_SCALARS = st.one_of(
+    st.none(), st.booleans(), st.integers(-3, 20), st.floats(),
+    st.text("ab-._", max_size=3),
+    st.sampled_from(["fixed", "adaptive", "linear", "double_on_second", "onemax", "coevolve",
+                     "logistic"]),
+)
+FUZZ_VALUES = st.recursive(
+    FUZZ_SCALARS,
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.sampled_from(FUZZ_KEYS), inner,
+                                                                max_size=3),
+    max_leaves=6,
+)
+
+
+def _paths(node, path=()):
+    """The path of every value inside a JSON document, the root first."""
+    yield path
+    items = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(
+        node, list) else ()
+    for key, value in items:
+        yield from _paths(value, (*path, key))
+
+
+def _edit(doc, path, key, value):
+    """Set ``value`` under ``key`` where ``path`` holds an object, else at
+    ``path`` itself; returns the edited document."""
+    nodes = [doc]
+    for step in path:
+        nodes.append(nodes[-1][step])
+    if key is not None and isinstance(nodes[-1], dict):
+        nodes[-1][key] = value
+    elif path:
+        nodes[-2][path[-1]] = value
+    else:
+        return value
+    return doc
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(
+    verb=st.sampled_from(sorted(FUZZ_DOCS)),
+    edits=st.lists(
+        st.tuples(st.integers(0, 63), st.none() | st.sampled_from(FUZZ_KEYS), FUZZ_VALUES),
+        min_size=1, max_size=3,
+    ),
+)
+def test_config_fuzz_exits_0_1_or_2_with_one_line(verb, edits):
+    doc = copy.deepcopy(FUZZ_DOCS[verb])
+    for pick, key, value in edits:
+        paths = list(_paths(doc))
+        doc = _edit(doc, paths[pick % len(paths)], key, value)
+    cwd, err = os.getcwd(), io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        os.chdir(tmp)  # relative output paths in the document land here
+        try:
+            with open("config.json", "w") as fh:
+                json.dump(doc, fh)
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                code = execute([*verb.split(), "--config", "config.json"])
+        finally:
+            os.chdir(cwd)
+    assert code in (0, 1, 2)
+    if code:
+        assert len(err.getvalue().splitlines()) == 1
+        assert "Traceback" not in err.getvalue()
