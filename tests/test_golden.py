@@ -4,7 +4,8 @@ The agent digests were taken by this module's ``main`` on the commit
 "Draw agent randomness from a counter-based SplitMix64 stream", which
 replaced the Mersenne Twister the agent engine reseeded per agent and
 tick. The dynamics digests were taken on the commit before the
-Lyapunov estimators stopped materialising the orbit. Any other change
+Lyapunov estimators stopped materialising the orbit, and the Life digests
+on the commit before ``step`` became generation 1 of ``run``. Any other change
 to the engines must keep every one of them; a change that means to move
 a trajectory regenerates them and says so. To
 regenerate, run ``PYTHONPATH=src python tests/test_golden.py`` from the
@@ -14,6 +15,7 @@ below.
 
 import contextlib
 import hashlib
+import io
 import json
 import math
 import random
@@ -55,6 +57,18 @@ MIXED_SCENARIO = {
     ],
 }
 
+# R-pentomino: its box grows in every direction, so the board re-packs
+# often. The coloured one mixes ``A`` (state 1, like ``o``) and ``B``. The
+# soup stays active for ~30 generations under hex B2/S34.
+R_PENTOMINO_RLE = "x = 3, y = 3, rule = B3/S23\nb2o$2o$bo!"
+COLOR_RLE = "x = 3, y = 3, rule = B3/S23\nbAB$BA$bB!"
+HEX_SOUP_RLE = "x = 8, y = 8, rule = B3/S23\n2bobobo$2b2obobo$2b2o2bo$bo3b3o$3b3o$b3obo$o4b3o$2bo!"
+CLASSIFY_RLE = {
+    "blinker": "x = 3, y = 1, rule = B3/S23\n3o!",
+    "block": "x = 2, y = 2, rule = B3/S23\n2o$2o!",
+    "glider": "x = 3, y = 3, rule = B3/S23\nbob$2bo$3o!",
+}
+
 # Three branches that keep [0, 1] invariant: logistic, tent and sine.
 # Each dynamics digest pairs a result with the rng's next draw, so a
 # change in how many draws a call takes shows too.
@@ -76,6 +90,13 @@ GOLDEN = {
     "stochastic_iterate": "263a3024a0c334735bba794849737b407badf050df1d5aa95ac5992b5648519e",
     "stochastic_divergence_rate": "72c65362c55aa24f84576aa0bb4a1f9c687aae95571a3011d28f3a2c734b7588",
     "stochastic_two_trajectory": "ce0c5b9bdeaec1977933e1c4fb5ba73a577dd1767a8c42f208df39ff984546cf",
+    "life_run_rle": "25401a5565f45fc1f58a355aba47b877d3ad681752a5a5d2d8122aead7feb7aa",
+    "life_run_frames": "4e2db995a7ec52032500f3642f1c66567a1df659029c4047768e393ff00b2366",
+    "life_run_population_csv": "8a164a77f0c7ae71f81fcf967289b72ff5301a0147ce0a8a6d363a41fd872d9e",
+    "life_hex_population_csv": "19f9f501c5a502bebd9bbce8a5ffe048ca9b03f32afd2453438dfc691dc9120b",
+    "life_states3_rle": "7f13db97ab5fb70c268ce1469e6d25df52815e134a2430e58d00766883ce920f",
+    "life_classify_stdout": "8347e489b99d5773701acf3a2e833cb5844798c928a5ed56b59d362a02af40de",
+    "complexity_profile_csv": "9230a0b21c88c76c5f63b1fa4c714c53cf40fb85c9412ceee1539f6335e3c131",
 }
 
 
@@ -137,6 +158,66 @@ def dynamics_sweep_csv_digest(tmp_path: Path) -> str:
     return digest(out.read_bytes())
 
 
+def write_pattern(tmp_path: Path, name: str, text: str) -> str:
+    path = tmp_path / name
+    path.write_text(text)
+    return str(path)
+
+
+def life_run_digests(tmp_path: Path) -> tuple[str, str, str]:
+    """The RLE ``--out``, every ``--frames`` file and the population CSV of
+    one square run."""
+    out, metrics, frames = tmp_path / "final.rle", tmp_path / "population.csv", tmp_path / "frames"
+    assert execute([
+        "life", "run", "--pattern", write_pattern(tmp_path, "r.rle", R_PENTOMINO_RLE),
+        "--gens", "60", "--seed", "1", "--out", str(out), "--metrics", str(metrics),
+        "--frames", str(frames),
+    ]) == 0
+    files = sorted(frames.iterdir())
+    assert len(files) == 61
+    return (digest(out.read_bytes()), digest(tuple((f.name, f.read_bytes()) for f in files)),
+            digest(metrics.read_bytes()))
+
+
+def life_hex_population_digest(tmp_path: Path) -> str:
+    metrics = tmp_path / "hex.csv"
+    assert execute([
+        "life", "run", "--pattern", write_pattern(tmp_path, "hex.rle", HEX_SOUP_RLE),
+        "--topology", "hex", "--rule", "B2/S34", "--gens", "40", "--seed", "1",
+        "--metrics", str(metrics),
+    ]) == 0
+    return digest(metrics.read_bytes())
+
+
+def life_states3_digest(tmp_path: Path) -> str:
+    out = tmp_path / "states3.rle"
+    assert execute([
+        "life", "run", "--pattern", write_pattern(tmp_path, "color.rle", COLOR_RLE),
+        "--states", "3", "--gens", "30", "--seed", "1", "--out", str(out),
+    ]) == 0
+    return digest(out.read_bytes())
+
+
+def life_classify_digest(tmp_path: Path) -> str:
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout):
+        for name, text in CLASSIFY_RLE.items():
+            assert execute([
+                "life", "classify", "--pattern", write_pattern(tmp_path, f"{name}.rle", text),
+                "--horizon", "16", "--seed", "1",
+            ]) == 0
+    return digest(stdout.getvalue().encode())
+
+
+def complexity_profile_digest(tmp_path: Path) -> str:
+    metrics = tmp_path / "profile.csv"
+    assert execute([
+        "complexity", "profile", "--pattern", write_pattern(tmp_path, "p.rle", R_PENTOMINO_RLE),
+        "--gens", "40", "--scales", "1,2,4,8", "--seed", "1", "--metrics", str(metrics),
+    ]) == 0
+    return digest(metrics.read_bytes())
+
+
 def stochastic_digests() -> tuple[str, str, str]:
     rng = random.Random(31)
     traj = iterate(STOCHASTIC_MAP, 0.3, 500, rng)
@@ -185,6 +266,27 @@ def test_stochastic_map_results_and_draws():
     )
 
 
+def test_life_run_outputs(tmp_path):
+    assert life_run_digests(tmp_path) == (
+        GOLDEN["life_run_rle"], GOLDEN["life_run_frames"], GOLDEN["life_run_population_csv"])
+
+
+def test_life_hex_population_csv(tmp_path):
+    assert life_hex_population_digest(tmp_path) == GOLDEN["life_hex_population_csv"]
+
+
+def test_life_three_state_rle(tmp_path):
+    assert life_states3_digest(tmp_path) == GOLDEN["life_states3_rle"]
+
+
+def test_life_classify_stdout(tmp_path):
+    assert life_classify_digest(tmp_path) == GOLDEN["life_classify_stdout"]
+
+
+def test_complexity_profile_csv_bytes(tmp_path):
+    assert complexity_profile_digest(tmp_path) == GOLDEN["complexity_profile_csv"]
+
+
 def main() -> None:
     """Print the current digests as a ``GOLDEN`` literal to paste above."""
     cas = trajectory_digests(build_environment(CAS_SCENARIO), 100)
@@ -192,6 +294,7 @@ def main() -> None:
     stochastic = stochastic_digests()
     # The CLI's own stdout goes to stderr, so stdout holds only the literal.
     with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(sys.stderr):
+        life_run = life_run_digests(Path(tmp))
         current = {
             "cas_snapshot": cas[0],
             "cas_metrics": cas[1],
@@ -204,6 +307,13 @@ def main() -> None:
             "stochastic_iterate": stochastic[0],
             "stochastic_divergence_rate": stochastic[1],
             "stochastic_two_trajectory": stochastic[2],
+            "life_run_rle": life_run[0],
+            "life_run_frames": life_run[1],
+            "life_run_population_csv": life_run[2],
+            "life_hex_population_csv": life_hex_population_digest(Path(tmp)),
+            "life_states3_rle": life_states3_digest(Path(tmp)),
+            "life_classify_stdout": life_classify_digest(Path(tmp)),
+            "complexity_profile_csv": complexity_profile_digest(Path(tmp)),
         }
     print("GOLDEN = {")
     for name, value in current.items():
