@@ -11,7 +11,8 @@ Two engines share the work, chosen from the input alone. Two-state rules
 on grids whose live cells all have state 1 step on a bit-parallel board
 (one Python int, neighbor counts summed by bit-sliced adders, the
 technique of Golly's engines); colored rules and colored grids step on
-the sparse coordinate map.
+the sparse coordinate map. Both engines read each neighborhood from the
+grid's ``Topology``, so square and hex share one code path.
 """
 
 from __future__ import annotations
@@ -212,9 +213,6 @@ class _Board:
             y += 1
         return out
 
-    def grid(self) -> Grid:
-        return Grid._trusted(dict.fromkeys(self.coords(), 1), self.topology)
-
     def step(self, rule: RuleSet) -> None:
         """Advance one generation in place.
 
@@ -226,20 +224,20 @@ class _Board:
         if self.bits & self.ring:
             self._pack(self.coords())
         b, s = self.bits, self.stride
-        # Neighbor offset (dx, dy) is a shift by dx + dy * stride; both
-        # neighborhoods are symmetric, so each shift is taken both ways.
-        # Hex (axial) is Moore without (-1, -1) and (1, 1), i.e. +-(stride + 1).
-        shifts = (1, s - 1, s, s + 1) if self.topology is Topology.SQUARE else (1, s - 1, s)
-        # Bit-sliced 4-bit neighbor count (n3 n2 n1 n0), one ripple add per plane.
+        # Bit-sliced 4-bit neighbor count (n3 n2 n1 n0), one ripple add per
+        # plane. The neighbor at offset (dx, dy) sits k = dx + dy * stride
+        # bits on, so its plane is the board shifted right by k bits (left
+        # by -k when k < 0).
         n0 = n1 = n2 = n3 = 0
-        for k in shifts:
-            for plane in (b >> k, b << k):
-                c0 = n0 & plane
-                n0 ^= plane
-                c1 = n1 & c0
-                n1 ^= c0
-                n3 |= n2 & c1
-                n2 ^= c1
+        for dx, dy in self.topology.offsets:
+            k = dx + dy * s
+            plane = b >> k if k > 0 else b << -k
+            c0 = n0 & plane
+            n0 ^= plane
+            c1 = n1 & c0
+            n1 ^= c0
+            n3 |= n2 & c1
+            n2 ^= c1
 
         def count_is(c: int) -> int:
             if c == 8:
@@ -263,18 +261,12 @@ def _two_state(grid: Grid, rule: RuleSet) -> bool:
 
 
 def step(grid: Grid, rule: RuleSet = CONWAY_LIFE) -> Grid:
-    """Advance one generation synchronously.
+    """Advance one generation synchronously: generation 1 of ``run``.
 
-    Two-state rules on grids whose live cells all have state 1 run on a
-    bitboard; colored rules and grids run on the sparse engine, where
-    survivors keep their color.
+    Survivors keep their color.
     """
-    _validate_rule(rule, grid.topology)
-    if _two_state(grid, rule):
-        board = _Board(grid)
-        board.step(rule)
-        return board.grid()
-    return _dict_step(grid, rule)
+    _, nxt = run(grid, rule, 1)
+    return nxt
 
 
 def run(grid: Grid, rule: RuleSet = CONWAY_LIFE, generations: int = 0) -> Iterator[Grid]:
@@ -298,7 +290,7 @@ def _generations(grid: Grid, rule: RuleSet, generations: int) -> Iterator[Grid]:
         board = _Board(grid)
         for _ in range(generations):
             board.step(rule)
-            yield board.grid()
+            yield Grid._trusted(dict.fromkeys(board.coords(), 1), grid.topology)
     else:
         for _ in range(generations):
             grid = _dict_step(grid, rule)
@@ -323,9 +315,8 @@ def classify_pattern(grid: Grid, rule: RuleSet = CONWAY_LIFE, horizon: int = 64)
         if current.canonicalize() == start_canon:
             if current == grid:
                 return PatternClass(kind="oscillator", period=k)
+            # Both boxes exist: an empty grid is a still life at k == 1.
             cur_box = current.bounding_box()
-            if start_box is None or cur_box is None:
-                continue  # empty matching non-empty cannot happen here
             d = (cur_box[0][0] - start_box[0][0], cur_box[0][1] - start_box[0][1])
             if d != (0, 0):
                 return PatternClass(kind="spaceship", period=k, displacement=d)

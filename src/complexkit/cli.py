@@ -13,8 +13,10 @@ its value from argv, else from the ``--config`` JSON file, else from the
 default declared with the flag; a JSON ``null`` leaves the flag unset. A
 config key that is not a flag of the verb (or, for ``cas run``, a scenario
 key) and a value of the wrong JSON kind exit 2 with one line naming the
-key. Exit codes: 0 success, 1 domain error, 2 I/O, usage, or parse error.
-Metrics are CSV only and never share a stream with log text.
+key. A verb declares only the output flags it writes (``--out``,
+``--metrics``), so any other exits 2 like an unknown flag. Exit codes: 0
+success, 1 domain error, 2 I/O, usage, or parse error. Metrics are CSV
+only and never share a stream with log text.
 """
 
 from __future__ import annotations
@@ -28,11 +30,10 @@ import sys
 from pathlib import Path
 
 from .automaton import CONWAY_LIFE, RuleError, RuleSet, classify_pattern, run
-from .cas import DegenerateStrategyError, FrameError
 from .complexity import complexity_profile
 from .coevolve import episode_fitness
 from .dynamics import DivergenceError, divergence_rate, logistic_map
-from .evolution import EvaluationError, EvolutionConfig, evolve
+from .evolution import EvolutionConfig, evolve
 from .grid import Grid, Topology
 from .patterns import (
     PatternFormatError,
@@ -43,16 +44,27 @@ from .patterns import (
 from .scenario import ScenarioError, build_environment, checked, run_scenario
 
 
-def _add_shared(p: argparse.ArgumentParser, handler) -> None:
+_OUTPUT_HELP = {"--out": "primary output path", "--metrics": "metrics CSV path"}
+
+
+def _add_shared(p: argparse.ArgumentParser, handler, *outputs: str) -> None:
+    """Declare the flags of every verb, and those of ``--out`` and
+    ``--metrics`` that this verb writes."""
     p.add_argument("--seed", type=int, default=None, help="explicit run seed (required)")
-    p.add_argument("--out", default=None, help="primary output path")
-    p.add_argument("--metrics", default=None, help="metrics CSV path")
+    for flag in outputs:
+        p.add_argument(flag, default=None, help=_OUTPUT_HELP[flag])
     p.add_argument("--config", default=None, help="JSON config file; flags override it")
     p.set_defaults(handler=handler, command=p)
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):
+        """End a usage error like every other error: one stderr line, exit 2."""
+        self.exit(2, f"error: {message} (see '{self.prog} -h' for usage)\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="complexkit", description=__doc__.splitlines()[0])
+    parser = _Parser(prog="complexkit", description=__doc__.splitlines()[0])
     nouns = parser.add_subparsers(dest="noun", required=True)
 
     life = nouns.add_parser("life", help="cellular automaton runs")
@@ -64,7 +76,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--topology", choices=["square", "hex"], default="square")
     p.add_argument("--states", type=int, default=None)
     p.add_argument("--frames", default=None, help="directory for per-generation plaintext dumps")
-    _add_shared(p, _cmd_life_run)
+    _add_shared(p, _cmd_life_run, "--out", "--metrics")
     p = life_verbs.add_parser("classify", help="classify a pattern's behavior")
     p.add_argument("--pattern", default=None)
     p.add_argument("--rule", default=None)
@@ -76,7 +88,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = cas_verbs.add_parser("run", help="run a scenario for n ticks")
     p.add_argument("--ticks", type=int, default=0)
     p.set_defaults(scenario={})  # filled with the config keys that are not flags
-    _add_shared(p, _cmd_cas_run)
+    _add_shared(p, _cmd_cas_run, "--metrics")
 
     ga = nouns.add_parser("ga", help="genetic algorithm runs")
     ga_verbs = ga.add_subparsers(dest="verb", required=True)
@@ -89,7 +101,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cx", type=float, default=0.9)
     p.add_argument("--elite", type=int, default=2)
     p.add_argument("--tournament", type=int, default=3)
-    _add_shared(p, _cmd_ga_run)
+    _add_shared(p, _cmd_ga_run, "--metrics")
 
     cpx = nouns.add_parser("complexity", help="information-vs-scale profiles")
     cpx_verbs = cpx.add_subparsers(dest="verb", required=True)
@@ -98,7 +110,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rule", default=None)
     p.add_argument("--gens", type=int, default=0)
     p.add_argument("--scales", default="1,2,4", help="comma-separated, e.g. 1,2,4")
-    _add_shared(p, _cmd_complexity_profile)
+    _add_shared(p, _cmd_complexity_profile, "--out", "--metrics")
 
     dyn = nouns.add_parser("dynamics", help="iterative-map diagnostics")
     dyn_verbs = dyn.add_subparsers(dest="verb", required=True)
@@ -108,7 +120,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--x0", type=float, default=0.3)
     p.add_argument("--steps", type=int, default=100_000)
     p.add_argument("--burnin", type=int, default=1000)
-    _add_shared(p, _cmd_dynamics_lyapunov)
+    _add_shared(p, _cmd_dynamics_lyapunov, "--out", "--metrics")
     p = dyn_verbs.add_parser("sweep")
     p.add_argument("--r-from", dest="r_from", type=float, default=None)
     p.add_argument("--r-to", dest="r_to", type=float, default=None)
@@ -116,7 +128,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--x0", type=float, default=0.3)
     p.add_argument("--steps", type=int, default=2000)
     p.add_argument("--burnin", type=int, default=500)
-    _add_shared(p, _cmd_dynamics_sweep)
+    _add_shared(p, _cmd_dynamics_sweep, "--out", "--metrics")
     return parser
 
 
@@ -158,38 +170,38 @@ def _csv_out(path: str | None):
             yield csv.writer(fh, lineterminator="\n")
 
 
-def _load_pattern(args) -> tuple[Grid, RuleSet | None, str]:
+def _codec(path: Path) -> str:
+    return "rle" if path.suffix.lower() == ".rle" else "plaintext"
+
+
+def _load_pattern(args) -> tuple[Grid, RuleSet]:
+    """The ``--pattern`` grid on the verb's ``--topology`` and its rule:
+    ``--rule``, else the RLE header's, else Conway's (square only), with
+    the verb's ``--states``."""
     if not args.pattern:
         raise ScenarioError("a --pattern file is required")
     path = Path(args.pattern)
-    fmt = "rle" if path.suffix.lower() == ".rle" else "plaintext"
-    grid, rule = decode_pattern(path.read_text(), fmt)
-    return grid, rule, fmt
-
-
-def _resolve_rule(args, header_rule: RuleSet | None) -> RuleSet:
+    grid, rule = decode_pattern(path.read_text(), _codec(path))
+    topology = Topology(getattr(args, "topology", "square"))
     if args.rule:
         rule = RuleSet.parse(args.rule)
-    elif header_rule is not None:
-        rule = header_rule
-    elif getattr(args, "topology", "square") == "hex":
+    elif rule is None and topology is Topology.HEX:
         raise RuleError("hexagonal runs have no default rule; pass --rule explicitly")
-    else:
+    elif rule is None:
         rule = CONWAY_LIFE
     states = getattr(args, "states", None)
     if states is not None:
         rule = RuleSet(birth=rule.birth, survival=rule.survival, states=states)
-    return rule
+    if topology is Topology.HEX:
+        grid = Grid(grid.cells, topology=topology)
+    return grid, rule
 
 
 def _cmd_life_run(args) -> int:
-    grid, header_rule, _ = _load_pattern(args)
-    rule = _resolve_rule(args, header_rule)
-    if args.topology == "hex":
-        if args.frames or args.out:
-            # Refused before the run, so no frame directory is left behind.
-            raise UnsupportedFormatError("pattern codecs support square grids only")
-        grid = Grid(dict(grid.cells), topology=Topology.HEX)
+    grid, rule = _load_pattern(args)
+    if grid.topology is Topology.HEX and (args.frames or args.out):
+        # Refused before the run, so no frame directory is left behind.
+        raise UnsupportedFormatError("pattern codecs support square grids only")
     frames_dir = Path(args.frames) if args.frames else None
     if frames_dir:
         frames_dir.mkdir(parents=True, exist_ok=True)
@@ -199,10 +211,8 @@ def _cmd_life_run(args) -> int:
             (frames_dir / f"frame_{i:06d}.txt").write_text(encode_pattern(final, "plaintext"))
         populations.append(final.population)
     if args.out:
-        out_path = Path(args.out)
-        fmt = "rle" if out_path.suffix.lower() == ".rle" else "plaintext"
-        text = encode_pattern(final, fmt, rule=rule if fmt == "rle" else None)
-        out_path.write_text(text)
+        fmt = _codec(Path(args.out))
+        Path(args.out).write_text(encode_pattern(final, fmt, rule=rule if fmt == "rle" else None))
     if args.metrics:
         with _csv_out(args.metrics) as w:
             w.writerow(["generation", "population"])
@@ -211,8 +221,7 @@ def _cmd_life_run(args) -> int:
 
 
 def _cmd_life_classify(args) -> int:
-    grid, header_rule, _ = _load_pattern(args)
-    rule = _resolve_rule(args, header_rule)
+    grid, rule = _load_pattern(args)
     print(classify_pattern(grid, rule, args.horizon))
     return 0
 
@@ -255,9 +264,13 @@ def _cmd_ga_run(args) -> int:
 
 
 def _cmd_complexity_profile(args) -> int:
-    grid, header_rule, _ = _load_pattern(args)
-    rule = _resolve_rule(args, header_rule)
-    scales = [int(s) for s in args.scales.split(",") if s.strip()]
+    scales = []
+    for piece in filter(str.strip, args.scales.split(",")):
+        try:
+            scales.append(int(piece))
+        except ValueError:
+            raise ScenarioError(f"scales must be comma-separated integers, got {piece!r}") from None
+    grid, rule = _load_pattern(args)
     profile = complexity_profile(run(grid, rule, args.gens), scales)
     with _csv_out(args.metrics or args.out) as w:
         w.writerow(["scale", "omega", "bits"])
@@ -278,6 +291,8 @@ def _cmd_dynamics_lyapunov(args) -> int:
 def _cmd_dynamics_sweep(args) -> int:
     if args.r_from is None or args.r_to is None or args.r_step is None:
         raise ScenarioError("sweep needs --r-from, --r-to and --r-step")
+    for dest in ("r_from", "r_to", "r_step"):
+        checked(f"--{dest.replace('_', '-')}", getattr(args, dest), float)
     if args.r_step <= 0:
         raise ValueError("--r-step must be positive")
     rng = random.Random(args.seed)
@@ -306,15 +321,7 @@ def execute(argv: list[str]) -> int:
     except (PatternFormatError, ScenarioError, json.JSONDecodeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (
-        RuleError,
-        DegenerateStrategyError,
-        FrameError,
-        EvaluationError,
-        UnsupportedFormatError,
-        DivergenceError,
-        ValueError,
-    ) as exc:
+    except (ValueError, DivergenceError) as exc:  # every engine error is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -141,6 +141,10 @@ def evolve(
     Each generation: evaluate, record stats, copy elites, then fill the
     population with tournament winners recombined by crossover (with
     probability crossover_rate, otherwise cloned) and mutated.
+
+    ``fitness`` must be pure: one memo per run scores each distinct genome
+    once, in population order, and reuses that score whenever the genome
+    comes back.
     """
     rng = random.Random(cfg.seed)
     population = [
@@ -148,19 +152,16 @@ def evolve(
         for _ in range(cfg.population_size)
     ]
 
+    memo: dict[Genome, float] = {}
+
     def evaluate(pop: list[Individual]) -> None:
-        cache: dict[Genome, float] = {}
         for ind in pop:
-            if ind.fitness is not UNEVALUATED:
-                continue
-            if ind.genome in cache:
-                ind.fitness = cache[ind.genome]
-                continue
-            value = float(fitness(ind.genome))
-            if not math.isfinite(value):
-                raise EvaluationError(ind.genome, value)
-            cache[ind.genome] = value
-            ind.fitness = value
+            if ind.genome not in memo:
+                value = float(fitness(ind.genome))
+                if not math.isfinite(value):
+                    raise EvaluationError(ind.genome, value)
+                memo[ind.genome] = value
+            ind.fitness = memo[ind.genome]
 
     stats: list[GenerationStats] = []
     overall_best: Individual | None = None

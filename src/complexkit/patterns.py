@@ -76,12 +76,8 @@ def _decode_rle(text: str) -> tuple[Grid, RuleSet | None]:
             have_count = False
             if ch == "b":
                 x += n
-            elif ch == "o":
-                for _ in range(n):
-                    cells[(x, y)] = 1
-                    x += 1
-            elif "A" <= ch <= "X":
-                state = ord(ch) - ord("A") + 1
+            elif ch == "o" or "A" <= ch <= "X":
+                state = 1 if ch == "o" else ord(ch) - ord("A") + 1
                 for _ in range(n):
                     cells[(x, y)] = state
                     x += 1

@@ -239,13 +239,50 @@ def test_cas_nested_field_of_the_wrong_type_exits_2(tmp_path, capsys, agent_type
     (["dynamics", "lyapunov"], {"seed": 1, "stpes": 300}, "config has unknown key 'stpes'"),
     (["dynamics", "lyapunov"], {"seed": 1, "map_name": "logistic"},
      "config has unknown key 'map_name'"),
+    (["complexity", "profile"], {"seed": 1, "scales": "1,x"},
+     "scales must be comma-separated integers, got 'x'"),
+    (["complexity", "profile", "--scales", "a,,2"], {"seed": 1},
+     "scales must be comma-separated integers, got 'a'"),
 ], ids=["int-as-str", "int-as-float", "life-gens", "bool-seed", "bool-float", "choice", "path",
-        "float-range", "map-choice", "unknown-key", "dest-key"])
+        "float-range", "map-choice", "unknown-key", "dest-key", "scales-config", "scales-argv"])
 def test_config_value_of_the_wrong_type_exits_2(tmp_path, capsys, argv, doc, message):
     config = tmp_path / "config.json"
     config.write_text(json.dumps(doc))
     assert execute([*argv, "--config", str(config)]) == 2
     assert capsys.readouterr().err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("flag", ["--r-from", "--r-to", "--r-step"])
+def test_sweep_refuses_a_non_finite_bound_before_the_loop(tmp_path, capsys, flag, value):
+    bounds = {"--r-from": "2.5", "--r-to": "3.0", "--r-step": "0.25", flag: value}
+    out = tmp_path / "sweep.csv"
+    # "--flag=-inf": argparse reads a bare "-inf" as an option.
+    argv = ["dynamics", "sweep", *(f"{k}={v}" for k, v in bounds.items()), "--steps", "10",
+            "--burnin", "0", "--seed", "1", "--out", str(out)]
+    assert execute(argv) == 2
+    assert capsys.readouterr().err == f"error: {flag} must be a finite number, got {value}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("verb, flag", [
+    (["life", "classify", "--pattern", "glider.rle"], "--out"),
+    (["life", "classify", "--pattern", "glider.rle"], "--metrics"),
+    (["cas", "run", "--config", "scenario.json"], "--out"),
+    (["ga", "run", "--gens", "1"], "--out"),
+], ids=["classify-out", "classify-metrics", "cas-out", "ga-out"])
+def test_output_flag_the_verb_does_not_write_exits_2(tmp_path, capsys, monkeypatch, verb, flag):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "glider.rle").write_text(GLIDER_RLE)
+    (tmp_path / "scenario.json").write_text(json.dumps(SCENARIO))
+    assert execute([*verb, "--seed", "1", flag, "x.txt"]) == 2
+    assert capsys.readouterr().err == (
+        f"error: unrecognized arguments: {flag} x.txt (see 'complexkit -h' for usage)\n")
+    (tmp_path / "config.json").write_text(json.dumps({"seed": 1, flag[2:]: "x.txt"}))
+    assert execute([*verb, "--config", "config.json"]) == 2
+    scope = "scenario" if verb[0] == "cas" else "config"
+    assert capsys.readouterr().err == f"error: {scope} has unknown key {flag[2:]!r}\n"
+    assert not (tmp_path / "x.txt").exists()
 
 
 def test_config_int_for_a_float_flag_keeps_its_text(tmp_path):

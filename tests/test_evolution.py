@@ -138,6 +138,21 @@ def test_evolve_onemax_small():
     assert best.fitness == 20.0
 
 
+def test_evolve_scores_each_distinct_genome_once_per_run():
+    calls = []
+
+    def counted(genome):
+        calls.append(genome)
+        return onemax(genome)
+
+    # 16 possible genomes, 11 populations of 12.
+    cfg = EvolutionConfig(genome_length=4, population_size=12, generations=10,
+                          mutation_rate=0.2, seed=3)
+    _, stats = evolve(cfg, counted)
+    assert len(calls) == len(set(calls)) <= 16
+    assert stats == evolve(cfg, onemax)[1]
+
+
 def test_evolve_rejects_nonfinite_fitness():
     cfg = EvolutionConfig(genome_length=8, population_size=4, generations=1, seed=1)
     with pytest.raises(EvaluationError):
