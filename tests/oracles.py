@@ -8,12 +8,16 @@ original immutable tick: it rebuilds every agent with
 generator per agent, written here from Steele, Lea & Flood (2014) and
 sharing no engine code either. The dynamics oracle is the
 materialising Lyapunov estimator the streamed one replaced: it builds
-the whole orbit with a per-step branch choice, then reads it back.
+the whole orbit with a per-step branch choice, then reads it back. The
+colour reference is the coloured sparse Life step the engine used before
+it coloured cells after stepping: it reads every neighbour's colour while
+it counts, and gives each newborn the majority colour of its neighbours.
 """
 
 import logging
 import math
 import random
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
@@ -26,7 +30,8 @@ from complexkit.dynamics import (
     Trajectory,
     weighted_index,
 )
-from complexkit.grid import Grid
+from complexkit.automaton import RuleSet
+from complexkit.grid import Coordinate, Grid
 
 MOORE = tuple((dx, dy) for dx in (-1, 0, 1) for dy in (-1, 0, 1) if (dx, dy) != (0, 0))
 # Axial hexagonal neighborhood of (q, r): (q +- 1, r), (q, r +- 1),
@@ -82,6 +87,58 @@ def dense_run(
         if not touched:
             return out
         pad = min(pad * 2, generations + 2)
+
+
+def _newborn_state(coord: Coordinate, cells, offsets, states: int) -> int:
+    if states == 2:
+        return 1
+    # Majority color among live neighbors; ties go to the smallest color.
+    x, y = coord
+    tally = Counter()
+    for dx, dy in offsets:
+        s = cells.get((x + dx, y + dy), 0)
+        if s:
+            tally[s] += 1
+    best = max(tally.values())
+    return min(c for c, n in tally.items() if n == best)
+
+
+def _dict_step(grid: Grid, rule: RuleSet) -> Grid:
+    """One generation of the sparse engine, for rules and grids with colors.
+
+    Only live cells and their neighbors are candidates; with 0 excluded
+    from the birth set (enforced by RuleSet) no other cell can change.
+    """
+    cells = grid.cells
+    offsets = grid.topology.offsets
+    counts = Counter(
+        (x + dx, y + dy) for (x, y) in cells for dx, dy in offsets
+    )
+    birth = rule.birth
+    survival = rule.survival
+    nxt: dict[Coordinate, int] = {}
+    for coord, count in counts.items():
+        state = cells.get(coord, 0)
+        if state:
+            if count in survival:
+                nxt[coord] = state
+        elif count in birth:
+            nxt[coord] = _newborn_state(coord, cells, offsets, rule.states)
+    if 0 in survival:
+        # Isolated live cells never appear in the neighbor-count map.
+        for coord, state in cells.items():
+            if coord not in counts:
+                nxt[coord] = state
+    return Grid._trusted(nxt, grid.topology)
+
+
+def colour_run(grid: Grid, rule: RuleSet, generations: int) -> list[Grid]:
+    """Generations 0 through ``generations`` of the colour reference."""
+    out = [grid]
+    for _ in range(generations):
+        grid = _dict_step(grid, rule)
+        out.append(grid)
+    return out
 
 
 class SplitMix64:

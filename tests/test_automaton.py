@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from complexkit.automaton import CONWAY_LIFE, RuleError, RuleSet, classify_pattern, run, step
 from complexkit.grid import Grid, Topology
 
-from oracles import HEX, MOORE, dense_run
+from oracles import HEX, MOORE, colour_run, dense_run
 
 BLINKER = Grid([(0, -1), (0, 0), (0, 1)])
 BLOCK = Grid([(0, 0), (0, 1), (1, 0), (1, 1)])
@@ -223,3 +223,26 @@ def test_hex_rule_runs():
     # each cell of the triangle has 2 live neighbors -> dies; shared
     # neighbors with exactly 2 live neighbors are born
     assert all(s == 1 for s in nxt.cells.values())
+
+
+def coloured_cases(data, topology, max_size=60):
+    """A coloured grid on ``topology`` and a rule of 2 to 5 states whose
+    birth and survival sets may hold any count up to the degree (S0, B1
+    and full-degree counts included)."""
+    degree = topology.degree
+    birth = data.draw(st.frozensets(st.integers(1, degree)), label="birth")
+    survival = data.draw(st.frozensets(st.integers(0, degree)), label="survival")
+    states = data.draw(st.integers(2, 5), label="states")
+    cells = data.draw(
+        st.dictionaries(st.tuples(st.integers(-8, 8), st.integers(-8, 8)), st.integers(1, 4),
+                        max_size=max_size),
+        label="cells",
+    )
+    return Grid(cells, topology=topology), RuleSet(birth, survival, states=states)
+
+
+@settings(max_examples=150, deadline=None)
+@given(topology=st.sampled_from(list(Topology)), generations=st.integers(0, 12), data=st.data())
+def test_run_matches_colour_reference(topology, generations, data):
+    g, rule = coloured_cases(data, topology)
+    assert list(run(g, rule, generations)) == colour_run(g, rule, generations)
