@@ -7,12 +7,16 @@ The update is synchronous: generation t+1 is a pure function of
 generation t. ``run`` returns an iterator of generations; keep a whole
 history with ``history = list(run(grid, rule, n))``.
 
-Two engines share the work, chosen from the input alone. Two-state rules
-on grids whose live cells all have state 1 step on a bit-parallel board
-(one Python int, neighbor counts summed by bit-sliced adders, the
-technique of Golly's engines); colored rules and colored grids step on
-the sparse coordinate map. Both engines read each neighborhood from the
-grid's ``Topology``, so square and hex share one code path.
+Whether a cell lives never depends on its color, so both engines step
+bare coordinates and each new generation is colored once afterwards:
+survivors keep their color and newborns take the majority color of their
+neighbors. Density picks the engine, generation by generation. A dense
+generation steps on a bit-parallel board (one Python int, neighbor counts
+summed by bit-sliced adders, the technique of Golly's engines); a sparse
+one steps on the coordinate set, whose cost follows the population and
+whose memory stays bounded however far apart its cells are. Both engines
+read each neighborhood from the grid's ``Topology``, so square and hex
+share one code path.
 """
 
 from __future__ import annotations
@@ -20,7 +24,7 @@ from __future__ import annotations
 import re
 from collections import Counter
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Collection, Iterator
 
 from .grid import Coordinate, Grid, Topology
 
@@ -120,33 +124,19 @@ def _newborn_state(coord: Coordinate, cells, offsets, states: int) -> int:
     return min(c for c, n in tally.items() if n == best)
 
 
-def _dict_step(grid: Grid, rule: RuleSet) -> Grid:
-    """One generation of the sparse engine, for rules and grids with colors.
+def _set_step(live: Collection[Coordinate], rule: RuleSet, offsets) -> set[Coordinate]:
+    """One generation of the sparse engine: the live cells after ``live``.
 
     Only live cells and their neighbors are candidates; with 0 excluded
     from the birth set (enforced by RuleSet) no other cell can change.
     """
-    cells = grid.cells
-    offsets = grid.topology.offsets
-    counts = Counter(
-        (x + dx, y + dy) for (x, y) in cells for dx, dy in offsets
-    )
-    birth = rule.birth
-    survival = rule.survival
-    nxt: dict[Coordinate, int] = {}
-    for coord, count in counts.items():
-        state = cells.get(coord, 0)
-        if state:
-            if count in survival:
-                nxt[coord] = state
-        elif count in birth:
-            nxt[coord] = _newborn_state(coord, cells, offsets, rule.states)
+    counts = Counter((x + dx, y + dy) for (x, y) in live for dx, dy in offsets)
+    birth, survival = rule.birth, rule.survival
+    nxt = {c for c, n in counts.items() if n in (survival if c in live else birth)}
     if 0 in survival:
         # Isolated live cells never appear in the neighbor-count map.
-        for coord, state in cells.items():
-            if coord not in counts:
-                nxt[coord] = state
-    return Grid._trusted(nxt, grid.topology)
+        nxt.update(c for c in live if c not in counts)
+    return nxt
 
 
 # Set-bit offsets of each byte value, lowest bit first.
@@ -156,42 +146,52 @@ _BYTE_BITS = tuple(tuple(k for k in range(8) if v >> k & 1) for v in range(256))
 # wider one re-packs less often but makes every step work on more bits.
 _MARGIN = 8
 
+# Most board cells per live cell for which the board steps a generation;
+# sparser generations step on the coordinate set. A board step costs about
+# 1.2-3 ns per cell of its box (less on larger boards) and a set step about
+# 1.7-2.5 us per live cell (2-vCPU x86 host, CPython 3.11), so the two
+# cross near 1000.
+_SPARSE = 1024
+
 
 class _Board:
-    """The live cells of a two-state grid packed into one Python int.
+    """The live cells of a generation packed into one Python int.
 
     Bit ``(y - oy) * stride + (x - ox)`` is cell (x, y), in a region of
     ``stride`` columns (a multiple of 8, so each row is whole bytes) by
-    ``height`` rows. The origin moves whenever the board is re-packed, so
-    the lattice stays unbounded.
+    ``height`` rows. Each pack takes a new origin, so the lattice stays
+    unbounded.
     """
 
     __slots__ = ("topology", "bits", "stride", "height", "ox", "oy", "ring")
 
-    def __init__(self, grid: Grid):
-        self.topology = grid.topology
-        self._pack(list(grid.cells))
-
-    def _pack(self, coords: list[Coordinate]) -> None:
-        if coords:
-            xs = [x for x, _ in coords]
-            ys = [y for _, y in coords]
-            min_x, max_x, min_y, max_y = min(xs), max(xs), min(ys), max(ys)
-        else:
-            min_x = max_x = min_y = max_y = 0
-        ox, oy = min_x - _MARGIN, min_y - _MARGIN
-        stride = -(-(max_x - ox + 1 + _MARGIN) // 8) * 8
-        height = max_y - oy + 1 + _MARGIN
+    @classmethod
+    def pack(cls, coords: Collection[Coordinate], topology: Topology) -> "_Board | None":
+        """A board holding ``coords`` with ``_MARGIN`` empty cells around
+        them, or None if it would hold more than ``_SPARSE`` cells per
+        live cell."""
+        if not coords:
+            return None
+        xs = [x for x, _ in coords]
+        ys = [y for _, y in coords]
+        ox, oy = min(xs) - _MARGIN, min(ys) - _MARGIN
+        stride = -(-(max(xs) - ox + 1 + _MARGIN) // 8) * 8
+        height = max(ys) - oy + 1 + _MARGIN
+        if stride * height > _SPARSE * len(coords):
+            return None
         buf = bytearray(stride * height // 8)
         for x, y in coords:
             i = (y - oy) * stride + x - ox
             buf[i >> 3] |= 1 << (i & 7)
         row = (1 << stride) - 1
         edge_columns = (1 | 1 << (stride - 1)).to_bytes(stride // 8, "little") * height
-        self.bits = int.from_bytes(buf, "little")
-        self.stride, self.height, self.ox, self.oy = stride, height, ox, oy
+        board = cls.__new__(cls)
+        board.topology = topology
+        board.bits = int.from_bytes(buf, "little")
+        board.stride, board.height, board.ox, board.oy = stride, height, ox, oy
         # Row 0, the last row, column 0 and column stride - 1.
-        self.ring = int.from_bytes(edge_columns, "little") | row | row << (height - 1) * stride
+        board.ring = int.from_bytes(edge_columns, "little") | row | row << (height - 1) * stride
+        return board
 
     def coords(self) -> list[Coordinate]:
         """Live cells, row by row."""
@@ -216,13 +216,10 @@ class _Board:
     def step(self, rule: RuleSet) -> None:
         """Advance one generation in place.
 
-        A live cell on the ring would carry across a row end, or below row
-        0, when the neighbor planes are shifted; re-packing first keeps the
-        ring empty, so every shifted-in bit is a dead cell. Births may then
-        land on the ring, and the next step re-packs.
+        The ring must be empty: a live cell on it would carry across a row
+        end, or below row 0, when the neighbor planes are shifted. Births
+        may land on the ring, so the caller re-packs before the next step.
         """
-        if self.bits & self.ring:
-            self._pack(self.coords())
         b, s = self.bits, self.stride
         # Bit-sliced 4-bit neighbor count (n3 n2 n1 n0), one ripple add per
         # plane. The neighbor at offset (dx, dy) sits k = dx + dy * stride
@@ -255,11 +252,6 @@ class _Board:
         self.bits = (born & ~b) | (survive & b)
 
 
-def _two_state(grid: Grid, rule: RuleSet) -> bool:
-    """Whether the bitboard engine can run: no cell needs a color."""
-    return rule.states == 2 and set(grid.cells.values()) <= {1}
-
-
 def step(grid: Grid, rule: RuleSet = CONWAY_LIFE) -> Grid:
     """Advance one generation synchronously: generation 1 of ``run``.
 
@@ -284,17 +276,26 @@ def run(grid: Grid, rule: RuleSet = CONWAY_LIFE, generations: int = 0) -> Iterat
 
 def _generations(grid: Grid, rule: RuleSet, generations: int) -> Iterator[Grid]:
     yield grid
-    if _two_state(grid, rule):
-        # The board carries over between generations; only the yielded
-        # grids are decoded from it.
-        board = _Board(grid)
-        for _ in range(generations):
+    topology, cells = grid.topology, grid.cells
+    offsets = topology.offsets
+    # Newborns of an all-1 grid have only neighbors of color 1.
+    colorless = set(cells.values()) <= {1}
+    live: Collection[Coordinate] = cells
+    board = None
+    for _ in range(generations):
+        if board is None or board.bits & board.ring:
+            board = _Board.pack(live, topology)
+        if board is None:
+            live = _set_step(cells, rule, offsets)
+        else:
             board.step(rule)
-            yield Grid._trusted(dict.fromkeys(board.coords(), 1), grid.topology)
-    else:
-        for _ in range(generations):
-            grid = _dict_step(grid, rule)
-            yield grid
+            live = board.coords()
+        if colorless:
+            cells = dict.fromkeys(live, 1)
+        else:
+            # Survivors keep their color; newborns take their neighbors'.
+            cells = {c: cells.get(c) or _newborn_state(c, cells, offsets, rule.states) for c in live}
+        yield Grid._trusted(cells, topology)
 
 
 def classify_pattern(grid: Grid, rule: RuleSet = CONWAY_LIFE, horizon: int = 64) -> PatternClass:

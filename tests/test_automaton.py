@@ -1,9 +1,12 @@
+import contextlib
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from complexkit import automaton
 from complexkit.automaton import CONWAY_LIFE, RuleError, RuleSet, classify_pattern, run, step
 from complexkit.grid import Grid, Topology
 
@@ -246,3 +249,66 @@ def coloured_cases(data, topology, max_size=60):
 def test_run_matches_colour_reference(topology, generations, data):
     g, rule = coloured_cases(data, topology)
     assert list(run(g, rule, generations)) == colour_run(g, rule, generations)
+
+
+@contextlib.contextmanager
+def engines(sparse=None):
+    """Count the generations each engine steps, optionally with ``_SPARSE``
+    patched; yields {"board": steps, "set": [population of each set step]}."""
+    ran = {"board": 0, "set": []}
+    set_step, board_step = automaton._set_step, automaton._Board.step
+
+    def counted_set_step(live, rule, offsets):
+        ran["set"].append(len(live))
+        return set_step(live, rule, offsets)
+
+    def counted_board_step(board, rule):
+        ran["board"] += 1
+        board_step(board, rule)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(automaton, "_set_step", counted_set_step)
+        mp.setattr(automaton._Board, "step", counted_board_step)
+        if sparse is not None:
+            mp.setattr(automaton, "_SPARSE", sparse)
+        yield ran
+
+
+@pytest.mark.parametrize("sparse", [0, 10**9], ids=["set-only", "board-only"])
+@settings(max_examples=60, deadline=None)
+@given(topology=st.sampled_from(list(Topology)), data=st.data())
+def test_each_engine_alone_matches_the_oracles(sparse, topology, data):
+    g, rule = coloured_cases(data, topology, max_size=40)
+    two_state = RuleSet(rule.birth, rule.survival)
+    neighborhood = MOORE if topology is Topology.SQUARE else HEX
+    expected = dense_run(set(g.cells), 12, birth=rule.birth, survival=rule.survival,
+                         neighborhood=neighborhood)
+    with engines(sparse) as ran:
+        assert [set(h.cells) for h in run(Grid(set(g.cells), topology), two_state, 12)] == expected
+        assert list(run(g, rule, 12)) == colour_run(g, rule, 12)
+    if sparse:
+        assert not any(ran["set"])  # only empty generations skip the board
+    else:
+        assert ran["board"] == 0
+
+
+def test_gliders_flying_apart_move_from_the_board_to_the_set():
+    away = Grid([(-10 - x, -10 - y) for x, y in GLIDER.cells])
+    g = Grid(set(GLIDER.cells) | set(away.cells))
+    expected = dense_run(set(g.cells), 600, pad=160)
+    with engines() as ran:
+        assert [set(h.cells) for h in run(g, CONWAY_LIFE, 600)] == expected
+    assert ran["board"] and ran["set"]
+    assert ran["board"] + len(ran["set"]) == 600
+
+
+def test_far_apart_blinkers_run_in_bounded_memory():
+    g = Grid(set(BLINKER.cells) | set(BLINKER.translate((3000, 3000)).cells))
+    tracemalloc.start()
+    try:
+        history = list(run(g, CONWAY_LIFE, 10))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert history[10] == g
+    assert peak < 2**20
