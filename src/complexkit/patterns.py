@@ -9,6 +9,9 @@ canonicalized grid. RLE carries an optional rule in its header; colors
 from __future__ import annotations
 
 import re
+from itertools import groupby
+from operator import itemgetter
+from typing import Iterator
 
 from .automaton import CONWAY_LIFE, RuleSet
 from .grid import Coordinate, Grid, Topology
@@ -101,44 +104,45 @@ def _rle_symbol(state: int) -> str:
     raise UnsupportedFormatError(f"RLE supports at most 24 colors, got state {state}")
 
 
+def _count(n: int) -> str:
+    """An RLE run count: omitted when it is 1."""
+    return "" if n == 1 else str(n)
+
+
+def _rows(grid: Grid, min_x: int, min_y: int) -> Iterator[tuple[int, list[list[int]]]]:
+    """Each row that holds a live cell, top to bottom: its y and its [state,
+    length] runs from x = 0 (dead gaps are state 0), relative to (min_x,
+    min_y). Sorting the live cells once makes the cost follow the
+    population, not the box."""
+    cells = sorted((y - min_y, x - min_x, s) for (x, y), s in grid.cells.items())
+    for y, row in groupby(cells, key=itemgetter(0)):
+        runs, end = [], 0
+        for _, x, state in row:
+            if x > end:
+                runs.append([0, x - end])
+            if runs and runs[-1][0] == state:
+                runs[-1][1] += 1
+            else:
+                runs.append([state, 1])
+            end = x + 1
+        yield y, runs
+
+
 def _encode_rle(grid: Grid, rule: RuleSet | None) -> str:
-    g = grid.canonicalize()
     rule_str = str(rule) if rule is not None else str(CONWAY_LIFE)
-    box = g.bounding_box()
+    box = grid.bounding_box()
     if box is None:
         return f"x = 0, y = 0, rule = {rule_str}\n!"
-    (_, _), (max_x, max_y) = box
-    width, height = max_x + 1, max_y + 1
-
-    def encode_row(y: int) -> str:
-        row = [g.state((x, y)) for x in range(width)]
-        while row and row[-1] == 0:
-            row.pop()
-        out: list[str] = []
-        run_state, run_len = None, 0
-        for state in row:
-            if state == run_state:
-                run_len += 1
-            else:
-                if run_state is not None:
-                    out.append(_rle_symbol(run_state) if run_len == 1 else f"{run_len}{_rle_symbol(run_state)}")
-                run_state, run_len = state, 1
-        if run_state is not None:
-            out.append(_rle_symbol(run_state) if run_len == 1 else f"{run_len}{_rle_symbol(run_state)}")
-        return "".join(out)
-
+    (min_x, min_y), (max_x, max_y) = box
     tokens: list[str] = []
-    separators = 0  # '$' count owed before the next non-blank row
-    for y in range(height):
-        if y > 0:
-            separators += 1
-        row_str = encode_row(y)
-        if row_str:
-            if separators:
-                tokens.append("$" if separators == 1 else f"{separators}$")
-                separators = 0
-            tokens.append(row_str)
-    return f"x = {width}, y = {height}, rule = {rule_str}\n" + "".join(tokens) + "!"
+    last_y = 0
+    for y, runs in _rows(grid, min_x, min_y):
+        if y > last_y:
+            tokens.append(_count(y - last_y) + "$")
+        tokens.extend(_count(n) + _rle_symbol(state) for state, n in runs)
+        last_y = y
+    return (f"x = {max_x - min_x + 1}, y = {max_y - min_y + 1}, rule = {rule_str}\n"
+            + "".join(tokens) + "!")
 
 
 def _decode_plaintext(text: str) -> tuple[Grid, RuleSet | None]:
@@ -161,21 +165,17 @@ def _decode_plaintext(text: str) -> tuple[Grid, RuleSet | None]:
 
 
 def _encode_plaintext(grid: Grid) -> str:
-    g = grid.canonicalize()
-    box = g.bounding_box()
+    box = grid.bounding_box()
     if box is None:
         return ""
-    (_, _), (max_x, max_y) = box
-    rows = []
-    for y in range(max_y + 1):
-        chars = []
-        for x in range(max_x + 1):
-            state = g.state((x, y))
-            if state > 1:
-                raise UnsupportedFormatError("plaintext cannot represent multi-state cells")
-            chars.append("O" if state else ".")
-        rows.append("".join(chars))
-    return "\n".join(rows) + "\n"
+    (min_x, min_y), (max_x, max_y) = box
+    width = max_x - min_x + 1
+    lines = ["." * width] * (max_y - min_y + 1)
+    for y, runs in _rows(grid, min_x, min_y):
+        if any(state > 1 for state, _ in runs):
+            raise UnsupportedFormatError("plaintext cannot represent multi-state cells")
+        lines[y] = "".join(("O" if state else ".") * n for state, n in runs).ljust(width, ".")
+    return "\n".join(lines) + "\n"
 
 
 def decode_pattern(text: str, format: str = "rle") -> tuple[Grid, RuleSet | None]:

@@ -143,3 +143,15 @@ def test_encode_injective_on_random_pairs():
         b = random_grid(rng).canonicalize()
         if a != b:
             assert encode_pattern(a) != encode_pattern(b)
+
+
+def test_rle_names_the_first_unencodable_state_in_row_major_order():
+    g = Grid({(5, 0): 30, (0, 1): 25, (3, 0): 26})
+    with pytest.raises(UnsupportedFormatError, match="got state 26$"):
+        encode_pattern(g)
+
+
+def test_encoding_reads_live_cells_not_the_box():
+    # The box holds 10**10 cells; only its two live cells are read.
+    g = Grid([(-7, 3), (10**5 - 7, 10**5 + 3)])
+    assert encode_pattern(g) == "x = 100001, y = 100001, rule = B3/S23\no100000$100000bo!"
