@@ -19,14 +19,18 @@ DEFAULT_RULES: tuple[Rule, ...] = (linear_rule(0.25), linear_rule(2.0))
 
 def weights_from_genome(genome: Genome, n_rules: int) -> tuple[float, ...]:
     """Split a binary genome into ``n_rules`` equal chunks read as unsigned
-    integers; each weight is 1 + value so no strategy is degenerate."""
+    integers; each weight is 1 + value so no strategy is degenerate. A
+    chunk whose value does not fit a float raises ValueError."""
     if n_rules < 1 or len(genome) < n_rules:
         raise ValueError("genome too short for the requested rule count")
     chunk = len(genome) // n_rules
     weights = []
     for i in range(n_rules):
         bits = "".join(genome[i * chunk : (i + 1) * chunk])
-        weights.append(1.0 + int(bits, 2))
+        try:
+            weights.append(1.0 + int(bits, 2))
+        except OverflowError:
+            raise ValueError(f"a genome chunk of {chunk} bits does not fit a float weight") from None
     return tuple(weights)
 
 

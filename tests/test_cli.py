@@ -484,3 +484,10 @@ def test_config_fuzz_exits_0_1_or_2_with_one_line(verb, edits):
     if code:
         assert len(err.getvalue().splitlines()) == 1
         assert "Traceback" not in err.getvalue()
+
+
+def test_coevolve_genome_chunk_too_long_for_a_float_exits_1_with_one_line(capsys):
+    assert execute(["ga", "run", "--problem", "coevolve", "--length", "2100", "--seed", "1"]) == 1
+    err = capsys.readouterr().err
+    assert err == "error: a genome chunk of 1050 bits does not fit a float weight\n"
+    assert "Traceback" not in err

@@ -35,3 +35,9 @@ def test_fitness_bounded_by_rule_gains():
     gains = [0.25, 2.0]
     value = fitness(tuple("1010101010101010"))
     assert min(gains) <= value <= max(gains)
+
+
+def test_weights_reject_a_chunk_beyond_float_range():
+    assert weights_from_genome(list("1" * 1023), 1) == (float(2**1023),)
+    with pytest.raises(ValueError, match="chunk of 1024 bits"):
+        weights_from_genome(list("1" * 1024), 1)
