@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import random
 import sys
+from bisect import bisect_right, insort
 from typing import Mapping
 
 from .cas import (Agent, AgentType, Environment, Population, Rule, Strategy, _run,
@@ -87,6 +88,19 @@ def _rule(at: str, spec) -> Rule:
     return double_on_second_rule()
 
 
+def _free_cell(taken: list[int], r: int) -> int:
+    """The number of the ``r``-th (from 0) cell not in the sorted list
+    ``taken``: the least n with r + 1 free cells in 0..n."""
+    lo, hi = r, r + len(taken)
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if mid + 1 - bisect_right(taken, mid) > r:
+            hi = mid
+        else:
+            lo = mid + 1
+    return lo
+
+
 def build_environment(config: Mapping) -> Environment:
     if "seed" not in checked("scenario", config, dict, _SCENARIO_KEYS):
         raise ScenarioError("scenario must declare an explicit seed")
@@ -96,7 +110,9 @@ def build_environment(config: Mapping) -> Environment:
 
     grid_spec = config.get("grid")
     placement_rng = random.Random(seed)
-    free_cells: list[tuple[int, int]] | None = None
+    # Cell numbers x * height + y of the placed agents, sorted. Agent j
+    # takes the r-th still-free cell, r = randrange(width * height - j).
+    taken: list[int] | None = None
     if grid_spec is not None:
         checked("scenario grid", grid_spec, dict, ("width", "height"))
         for key in ("width", "height"):
@@ -104,7 +120,7 @@ def build_environment(config: Mapping) -> Environment:
                 raise ScenarioError(f"scenario grid needs grid.{key}")
             checked(f"scenario grid.{key}", grid_spec[key], int, low=1)
         width, height = grid_spec["width"], grid_spec["height"]
-        free_cells = [(x, y) for x in range(width) for y in range(height)]
+        taken = []
 
     populations = []
     types = []
@@ -132,17 +148,18 @@ def build_environment(config: Mapping) -> Environment:
             strategy = Strategy(rules=rules, weights=tuple(
                 float(checked(f"{at}.weights[{i}]", w, float)) for i, w in enumerate(weights)))
 
-        schema = (("position", "integer"),) if free_cells is not None else ()
+        schema = (("position", "integer"),) if taken is not None else ()
         types.append(AgentType(name=name, schema=schema))
         agents = []
         for _ in range(count):
             attributes = {}
-            if free_cells is not None:
-                if not free_cells:
+            if taken is not None:
+                free = width * height - len(taken)
+                if not free:
                     raise ScenarioError("grid too small for the declared agent count")
-                attributes["position"] = free_cells.pop(
-                    placement_rng.randrange(len(free_cells))
-                )
+                cell = _free_cell(taken, placement_rng.randrange(free))
+                insort(taken, cell)
+                attributes["position"] = divmod(cell, height)
             agents.append(
                 Agent(id=next_id, type_name=name, strategy=strategy, attributes=attributes)
             )
@@ -150,7 +167,7 @@ def build_environment(config: Mapping) -> Environment:
         populations.append(Population(name=name, agents=tuple(agents)))
 
     space = None
-    if free_cells is not None:
+    if taken is not None:
         occupied = [
             a.attributes["position"] for pop in populations for a in pop.agents
         ]

@@ -1,5 +1,6 @@
 import math
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -369,3 +370,47 @@ def test_engine_draws_rules_and_moves_with_the_expected_frequencies(topology):
     for offset in topology.offsets:
         assert abs(moves.count(offset) / len(moves) - 1 / topology.degree) <= 0.01
     assert len(set(moves)) == topology.degree
+
+
+def _placement_config(seed, width, height, counts):
+    return {
+        "seed": seed,
+        "grid": {"width": width, "height": height},
+        "agent_types": [
+            {"name": f"t{i}", "count": c, "strategy": "fixed", "rule": {"kind": "linear"}}
+            for i, c in enumerate(counts)
+        ],
+    }
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    seed=st.integers(-2**40, 2**40),
+    width=st.integers(1, 9),
+    height=st.integers(1, 9),
+    counts=st.lists(st.integers(0, 30), max_size=4),
+)
+def test_placement_draws_the_cells_a_popped_free_list_would(seed, width, height, counts):
+    config = _placement_config(seed, width, height, counts)
+    # Every grid cell listed in x-major order; each agent pops a random one.
+    rng = random.Random(seed)
+    free = [(x, y) for x in range(width) for y in range(height)]
+    if sum(counts) > len(free):
+        with pytest.raises(ScenarioError, match="^grid too small for the declared agent count$"):
+            build_environment(config)
+        return
+    expected = [free.pop(rng.randrange(len(free))) for _ in range(sum(counts))]
+    env = build_environment(config)
+    assert [a.attributes["position"] for a in env.agents()] == expected
+    assert set(env.space.cells) == set(expected)
+
+
+def test_placement_memory_follows_the_agent_count():
+    tracemalloc.start()
+    try:
+        env = build_environment(_placement_config(3, 1000, 1000, [2]))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert env.space.population == 2
+    assert peak < 2**20
