@@ -147,10 +147,11 @@ _BYTE_BITS = tuple(tuple(k for k in range(8) if v >> k & 1) for v in range(256))
 _MARGIN = 8
 
 # Most board cells per live cell for which the board steps a generation;
-# sparser generations step on the coordinate set. A board step costs about
-# 1.2-3 ns per cell of its box (less on larger boards) and a set step about
-# 1.7-2.5 us per live cell (2-vCPU x86 host, CPython 3.11), so the two
-# cross near 1000.
+# sparser generations step on the coordinate set. On a 2-vCPU Xeon with
+# CPython 3.11 a board step costs 1.2-3 ns per cell of its box (less on
+# larger boards) and a set step 1.7-2.5 us per live cell, so the two cross
+# near 1000; a 64x64 soup run 2000 generations takes the same time for any
+# value from 512 to 8192.
 _SPARSE = 1024
 
 
