@@ -287,6 +287,7 @@ def _generations(grid: Grid, rule: RuleSet, generations: int) -> Iterator[Grid]:
         if board is None or board.bits & board.ring:
             board = _Board.pack(live, topology)
         if board is None:
+            # The keys of ``cells`` are the live cells, with O(1) lookup.
             live = _set_step(cells, rule, offsets)
         else:
             board.step(rule)
