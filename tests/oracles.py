@@ -12,6 +12,9 @@ the whole orbit with a per-step branch choice, then reads it back. The
 colour reference is the coloured sparse Life step the engine used before
 it coloured cells after stepping: it reads every neighbour's colour while
 it counts, and gives each newborn the majority colour of its neighbours.
+The GA reference is the generational loop that scored each new
+population in a separate pass and ranked it twice, built only from the
+public pieces of ``complexkit.evolution``.
 """
 
 import logging
@@ -31,6 +34,15 @@ from complexkit.dynamics import (
     weighted_index,
 )
 from complexkit.automaton import RuleSet
+from complexkit.evolution import (
+    EvaluationError,
+    GenerationStats,
+    Individual,
+    crossover,
+    mutate,
+    random_genome,
+    select,
+)
 from complexkit.grid import Coordinate, Grid
 
 MOORE = tuple((dx, dy) for dx in (-1, 0, 1) for dy in (-1, 0, 1) if (dx, dy) != (0, 0))
@@ -317,3 +329,68 @@ def materialised_divergence_rate(
             "zero derivative at %d of %d steps; floored at %g", floors, n, DERIVATIVE_FLOOR
         )
     return total / n
+
+
+def reference_evolve(cfg, fitness):
+    """The generational loop as it was before each genome was scored where
+    it is made: evaluate the whole population, record its stats, then rank
+    it again for the elites of the next generation."""
+    rng = random.Random(cfg.seed)
+    population = [
+        Individual(random_genome(cfg.genome_length, cfg.alphabet, rng))
+        for _ in range(cfg.population_size)
+    ]
+
+    memo = {}
+
+    def evaluate(pop):
+        for ind in pop:
+            if ind.genome not in memo:
+                value = float(fitness(ind.genome))
+                if not math.isfinite(value):
+                    raise EvaluationError(ind.genome, value)
+                memo[ind.genome] = value
+            ind.fitness = memo[ind.genome]
+
+    stats = []
+    overall_best = None
+
+    def record(generation):
+        nonlocal overall_best
+        values = [ind.fitness for ind in population]
+        best_i = min(range(len(values)), key=lambda i: (-values[i], i))
+        stats.append(
+            GenerationStats(generation=generation, best=values[best_i], mean=sum(values) / len(values))
+        )
+        if overall_best is None or values[best_i] > overall_best.fitness:
+            best = population[best_i]
+            overall_best = Individual(best.genome, best.fitness)
+
+    evaluate(population)
+    record(0)
+    for generation in range(1, cfg.generations + 1):
+        if cfg.target_fitness is not None and overall_best.fitness >= cfg.target_fitness:
+            break
+        ranked = sorted(
+            range(len(population)), key=lambda i: (-population[i].fitness, i)
+        )
+        next_pop = [
+            Individual(population[i].genome, population[i].fitness)
+            for i in ranked[: cfg.elitism]
+        ]
+        while len(next_pop) < cfg.population_size:
+            pa, pb = select(population, 2, cfg.tournament_size, rng)
+            if rng.random() < cfg.crossover_rate and cfg.genome_length >= 2:
+                ca, cb = crossover(pa.genome, pb.genome, rng=rng)
+            else:
+                ca, cb = pa.genome, pb.genome
+            for child in (ca, cb):
+                if len(next_pop) >= cfg.population_size:
+                    break
+                next_pop.append(
+                    Individual(mutate(child, cfg.mutation_rate, rng, cfg.alphabet))
+                )
+        population = next_pop
+        evaluate(population)
+        record(generation)
+    return overall_best, stats

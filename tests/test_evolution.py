@@ -2,6 +2,8 @@ import random
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from complexkit.evolution import (
     EvaluationError,
@@ -13,6 +15,8 @@ from complexkit.evolution import (
     random_genome,
     select,
 )
+
+from oracles import reference_evolve
 
 
 def onemax(genome):
@@ -181,3 +185,52 @@ def test_population_size_and_genome_length_invariant():
     evolve(cfg, probe)
     assert all(len(g) == 12 for g in seen)
     assert all(set(g) <= {"0", "1"} for g in seen)
+
+
+RATES = st.sampled_from([0.0, 0.1, 0.5, 1.0])
+
+
+@settings(derandomize=True, deadline=None, max_examples=400)
+@given(data=st.data())
+def test_evolve_matches_the_reference_loop(data):
+    """Same stats, best, fitness calls and refused genome as the loop that
+    scored each population in a pass of its own."""
+    pop = data.draw(st.integers(2, 12), label="pop")
+    length = data.draw(st.integers(1, 8), label="length")
+    alphabet = data.draw(st.sampled_from(["01", "abc"]), label="alphabet")
+    # Each position adds its weight when it holds the alphabet's last
+    # symbol: zero weights and equal sums make ties common, and sums of
+    # tenths are inexact, so the order of the mean's sum shows.
+    weights = data.draw(st.lists(st.sampled_from([0.0, 0.1, 0.2, 0.7]), min_size=length,
+                                 max_size=length), label="weights")
+    top = sum(weights)  # the fitness of the genome of last symbols only
+    cfg = EvolutionConfig(
+        genome_length=length,
+        population_size=pop,
+        generations=data.draw(st.integers(0, 6), label="gens"),
+        mutation_rate=data.draw(RATES, label="mutation"),
+        crossover_rate=data.draw(RATES, label="crossover"),
+        tournament_size=data.draw(st.integers(1, pop), label="tournament"),
+        elitism=data.draw(st.integers(0, pop - 1), label="elitism"),
+        seed=data.draw(st.integers(0, 2**32), label="seed"),
+        alphabet=alphabet,
+        target_fitness=data.draw(st.none() | st.sampled_from([0.0, top / 2, top]), label="target"),
+    )
+    poison = data.draw(st.none() | st.text(alphabet, min_size=1, max_size=3), label="nan suffix")
+
+    def outcome(run):
+        calls = []
+
+        def fitness(genome):
+            calls.append(genome)
+            if poison is not None and "".join(genome).endswith(poison):
+                return float("nan")
+            return sum(w for w, s in zip(weights, genome) if s == alphabet[-1])
+
+        try:
+            best, stats = run(cfg, fitness)
+        except EvaluationError as exc:
+            return calls, exc.genome
+        return calls, best.genome, best.fitness, stats
+
+    assert outcome(evolve) == outcome(reference_evolve)
