@@ -145,13 +145,22 @@ class Observation:
 def respond(agent: Agent, stimulus: float, rule_index: int | None = None) -> tuple[float, Agent]:
     """Apply the selected rule to (stimulus, memory); returns the response and
     the agent with the event appended to memory."""
-    if not math.isfinite(stimulus):
-        raise ValueError(f"stimulus must be finite, got {stimulus}")
+    _check_stimulus(stimulus)
     idx = 0 if rule_index is None else rule_index
     rule = agent.strategy.rules[idx]
     response = rule.apply(stimulus, agent.memory)
     updated = replace(agent, memory=agent.memory + ((stimulus, response),))
     return response, updated
+
+
+def _check_stimulus(stimulus: float) -> None:
+    if not math.isfinite(stimulus):
+        raise ValueError(f"stimulus must be finite, got {stimulus}")
+
+
+def _floor(weight: float) -> float:
+    """A reinforced weight, floored at zero (NaN and -0.0 give 0.0)."""
+    return weight if weight > 0.0 else 0.0
 
 
 def _draw_rule(agent_id: int, weights: Sequence[float], u: float) -> int:
@@ -173,7 +182,7 @@ def reinforce(agent: Agent, rule_index: int, reward: float) -> Agent:
     if not agent.strategy.adaptive:
         return agent
     weights = list(agent.strategy.weights)
-    weights[rule_index] = max(0.0, weights[rule_index] + reward)
+    weights[rule_index] = _floor(weights[rule_index] + reward)
     return replace(agent, strategy=replace(agent.strategy, weights=tuple(weights)))
 
 
@@ -213,8 +222,8 @@ def _run(env: Environment, ticks: int) -> tuple[Environment, list[float]]:
     members = [sorted(pop.agents, key=lambda a: a.id) for pop in env.populations]
     agents = [a for pop in members for a in pop]
     n, space = len(agents), env.space
-    if n and not math.isfinite(stimulus):
-        raise ValueError(f"stimulus must be finite, got {stimulus}")
+    if n:
+        _check_stimulus(stimulus)
     ids = [a.id for a in agents]
     rules = [a.strategy.rules for a in agents]
     weights = [None if a.strategy.weights is None else list(a.strategy.weights) for a in agents]
@@ -235,8 +244,7 @@ def _run(env: Environment, ticks: int) -> tuple[Environment, list[float]]:
             responses[i] = r = rules[i][idx].apply(stimulus, memory)
             memory.append((stimulus, r))
             if w is not None:
-                r = w[idx] + r
-                w[idx] = r if r > 0.0 else 0.0
+                w[idx] = _floor(w[idx] + r)
             if positions[i] is not None:
                 x, y = positions[i]
                 dx, dy = moves[(_draw(counter, 1) * degree) >> 64]

@@ -199,16 +199,17 @@ def _load_pattern(args) -> tuple[Grid, RuleSet]:
 
 def _cmd_life_run(args) -> int:
     grid, rule = _load_pattern(args)
-    if grid.topology is Topology.HEX and (args.frames or args.out):
-        # Refused before the run, so no frame directory is left behind.
+    if grid.topology is Topology.HEX and args.out:
+        # Refused before the run; the codec would refuse only after the last generation.
         raise UnsupportedFormatError("pattern codecs support square grids only")
     frames_dir = Path(args.frames) if args.frames else None
-    if frames_dir:
-        frames_dir.mkdir(parents=True, exist_ok=True)
     populations = []
     for i, final in enumerate(run(grid, rule, args.gens)):
         if frames_dir:
-            (frames_dir / f"frame_{i:06d}.txt").write_text(encode_pattern(final, "plaintext"))
+            frame = encode_pattern(final, "plaintext")
+            if i == 0:  # made once frame 0 encodes, so a refused run leaves no directory
+                frames_dir.mkdir(parents=True, exist_ok=True)
+            (frames_dir / f"frame_{i:06d}.txt").write_text(frame)
         populations.append(final.population)
     if args.out:
         fmt = _codec(Path(args.out))

@@ -1,7 +1,8 @@
 """Genetic algorithm over fixed-length genomes.
 
 Generational loop with tournament selection, single-point crossover,
-per-symbol mutation, and elitism. All randomness flows from the config
+per-symbol mutation, and elitism. Each genome is scored when it is made,
+and each generation is ranked once. All randomness flows from the config
 seed, so runs are fully reproducible. Ties break everywhere toward the
 lowest population index.
 """
@@ -138,8 +139,9 @@ def evolve(
 ) -> tuple[Individual, list[GenerationStats]]:
     """Run the generational loop and return the overall best plus stats.
 
-    Each generation: evaluate, record stats, copy elites, then fill the
-    population with tournament winners recombined by crossover (with
+    Each genome is scored when it is made, and each generation is ranked
+    once for its stats, the run's best and the elites. The rest of the next
+    generation is tournament winners recombined by crossover (with
     probability crossover_rate, otherwise cloned) and mutated.
 
     ``fitness`` must be pure: one memo per run scores each distinct genome
@@ -147,48 +149,33 @@ def evolve(
     comes back.
     """
     rng = random.Random(cfg.seed)
-    population = [
-        Individual(random_genome(cfg.genome_length, cfg.alphabet, rng))
-        for _ in range(cfg.population_size)
-    ]
-
     memo: dict[Genome, float] = {}
 
-    def evaluate(pop: list[Individual]) -> None:
-        for ind in pop:
-            if ind.genome not in memo:
-                value = float(fitness(ind.genome))
-                if not math.isfinite(value):
-                    raise EvaluationError(ind.genome, value)
-                memo[ind.genome] = value
-            ind.fitness = memo[ind.genome]
+    def scored(genome: Genome) -> Individual:
+        if genome not in memo:
+            value = float(fitness(genome))
+            if not math.isfinite(value):
+                raise EvaluationError(genome, value)
+            memo[genome] = value
+        return Individual(genome, memo[genome])
 
+    population = [
+        scored(random_genome(cfg.genome_length, cfg.alphabet, rng))
+        for _ in range(cfg.population_size)
+    ]
     stats: list[GenerationStats] = []
-    overall_best: Individual | None = None
-
-    def record(generation: int) -> None:
-        nonlocal overall_best
-        values = [ind.fitness for ind in population]
-        best_i = min(range(len(values)), key=lambda i: (-values[i], i))
-        stats.append(
-            GenerationStats(generation=generation, best=values[best_i], mean=sum(values) / len(values))
-        )
-        if overall_best is None or values[best_i] > overall_best.fitness:
-            best = population[best_i]
-            overall_best = Individual(best.genome, best.fitness)
-
-    evaluate(population)
-    record(0)
-    for generation in range(1, cfg.generations + 1):
-        if cfg.target_fitness is not None and overall_best.fitness >= cfg.target_fitness:
+    overall_best = population[0]  # generation 0's best replaces it unless it is that best
+    for generation in range(cfg.generations + 1):
+        ranked = sorted(population, key=lambda ind: -ind.fitness)  # stable: ties keep index order
+        mean = sum(ind.fitness for ind in population) / len(population)
+        stats.append(GenerationStats(generation=generation, best=ranked[0].fitness, mean=mean))
+        if ranked[0].fitness > overall_best.fitness:
+            overall_best = ranked[0]
+        if generation == cfg.generations or (
+            cfg.target_fitness is not None and overall_best.fitness >= cfg.target_fitness
+        ):
             break
-        ranked = sorted(
-            range(len(population)), key=lambda i: (-population[i].fitness, i)
-        )
-        next_pop = [
-            Individual(population[i].genome, population[i].fitness)
-            for i in ranked[: cfg.elitism]
-        ]
+        next_pop = ranked[: cfg.elitism]
         while len(next_pop) < cfg.population_size:
             pa, pb = select(population, 2, cfg.tournament_size, rng)
             if rng.random() < cfg.crossover_rate and cfg.genome_length >= 2:
@@ -198,10 +185,6 @@ def evolve(
             for child in (ca, cb):
                 if len(next_pop) >= cfg.population_size:
                     break
-                next_pop.append(
-                    Individual(mutate(child, cfg.mutation_rate, rng, cfg.alphabet))
-                )
+                next_pop.append(scored(mutate(child, cfg.mutation_rate, rng, cfg.alphabet)))
         population = next_pop
-        evaluate(population)
-        record(generation)
     return overall_best, stats

@@ -6,7 +6,7 @@ import os
 import tempfile
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from complexkit.cli import execute
@@ -491,3 +491,130 @@ def test_coevolve_genome_chunk_too_long_for_a_float_exits_1_with_one_line(capsys
     err = capsys.readouterr().err
     assert err == "error: a genome chunk of 1050 bits does not fit a float weight\n"
     assert "Traceback" not in err
+
+
+def test_coloured_frames_refused_before_the_directory_is_made(tmp_path, capsys):
+    pattern = tmp_path / "coloured.rle"
+    pattern.write_text("x = 3, y = 2, rule = B3/S23\nBoC$oDo!")
+    frames = tmp_path / "fr" / "frames"
+    metrics = tmp_path / "m.csv"
+    code = execute([
+        "life", "run", "--pattern", str(pattern), "--states", "4", "--gens", "5",
+        "--seed", "1", "--frames", str(frames), "--metrics", str(metrics),
+    ])
+    assert code == 1
+    assert capsys.readouterr().err == "error: plaintext cannot represent multi-state cells\n"
+    assert not (tmp_path / "fr").exists() and not metrics.exists()
+
+
+# Every verb's argv starts with a runnable call whose run-size flags are
+# small; a drawn flag later in argv overrides one only with another value
+# from its pool, so every run stays small.
+ARGV_BASE = {
+    "life run": ["--pattern", "in/glider.rle", "--gens", "2"],
+    "life classify": ["--pattern", "in/glider.rle", "--horizon", "4"],
+    "cas run": ["--config", "in/scenario.json", "--ticks", "2"],
+    "ga run": ["--gens", "2", "--pop", "4", "--length", "4"],
+    "complexity profile": ["--pattern", "in/glider.rle", "--gens", "2"],
+    "dynamics lyapunov": ["--steps", "5", "--burnin", "2"],
+    "dynamics sweep": ["--r-from", "3", "--r-to", "4", "--r-step", "0.5", "--steps", "5",
+                       "--burnin", "2"],
+}
+ARGV_FLAGS = {
+    "life run": ["--pattern", "--rule", "--gens", "--topology", "--states", "--frames", "--out",
+                 "--metrics"],
+    "life classify": ["--pattern", "--rule", "--horizon"],
+    "cas run": ["--ticks", "--metrics"],
+    "ga run": ["--problem", "--length", "--pop", "--gens", "--mut", "--cx", "--elite",
+               "--tournament", "--metrics"],
+    "complexity profile": ["--pattern", "--rule", "--gens", "--scales", "--out", "--metrics"],
+    "dynamics lyapunov": ["--map", "--r", "--x0", "--steps", "--burnin", "--out", "--metrics"],
+    "dynamics sweep": ["--r-from", "--r-to", "--r-step", "--x0", "--steps", "--burnin", "--out",
+                       "--metrics"],
+}
+SIZES = ["0", "1", "2", "3", "4", "-1", "nan", "inf", "2.5", "x", ""]
+NUMBERS = ["0", "0.5", "1", "2.5", "3.9", "4", "-1", "-0.5", "nan", "inf", "-inf", "1e400", "x",
+           "", "1,2"]
+ARGV_VALUES = {
+    **dict.fromkeys(["--gens", "--ticks", "--steps", "--pop", "--length", "--horizon", "--burnin",
+                     "--elite", "--tournament", "--states"], SIZES),
+    **dict.fromkeys(["--mut", "--cx", "--r", "--x0", "--r-from", "--r-to", "--r-step"], NUMBERS),
+    "--seed": ["1", "0", "7", "-3", "2.5", "x", ""],
+    "--bogus": ["1"],
+    "--rule": ["B3/S23", "B36/S23", "B2/S34", "B1/S0", "B0/S23", "B9/S", "B3/S23H", "x", ""],
+    "--topology": ["square", "hex", "tri", ""],
+    "--problem": ["onemax", "coevolve", "knapsack"],
+    "--map": ["logistic", "tent"],
+    "--scales": ["1", "1,2", "1,2,4", "0", "-2", "a", ",", "1,,2", ""],
+}
+# File contents by name; "missing" is never written and "dir" is a directory.
+ARGV_PATTERNS = {
+    "glider.rle": GLIDER_RLE,
+    "blinker.cells": ".O.\n.O.\n.O.\n",
+    "coloured.rle": "x = 3, y = 2, rule = B3/S23\nBoC$oDo!",
+    "malformed.rle": "x = 1, y = 1, rule = B3/S23\nzz!",
+    "unterminated.rle": "x = 2, y = 1\n2o",
+    "binary.rle": b"\xff\xfe\x00o!",
+    "empty.cells": "",
+}
+ARGV_CONFIGS = {
+    "scenario.json": json.dumps({**SCENARIO, "ticks": 2, "grid": {"width": 4, "height": 4}}),
+    "life.json": '{"seed": 2, "rule": "B36/S23", "gens": 1}',
+    "ga.json": '{"seed": 2, "problem": "onemax", "mut": 0.5, "elite": 0}',
+    "dynamics.json": '{"seed": 2, "r": 3.5, "x0": 0.1}',
+    "truncated.json": "{",
+    "list.json": "[1]",
+    "unknown.json": '{"bogus": 1}',
+    "wrong.json": '{"gens": "x", "seed": 1.5}',
+    "null.json": '{"seed": null}',
+    "binary.json": b"\xff\xfe{}",
+}
+ARGV_OUTPUTS = ["out/a.rle", "out/b.cells", "out/c.csv", "out/frames", "out/deep/er/frames",
+                "out/missing/d.csv", "out"]
+
+
+def _argv_values(flag):
+    """The pool a flag's value is drawn from; inputs and outputs come from
+    separate pools, so an output never overwrites an input."""
+    if flag == "--pattern":
+        return st.sampled_from(["in/" + n for n in [*ARGV_PATTERNS, "missing.rle", "dir"]])
+    if flag == "--config":
+        return st.sampled_from(["in/" + n for n in [*ARGV_CONFIGS, "missing.json", "dir"]])
+    if flag in ("--out", "--metrics", "--frames"):
+        return st.sampled_from(ARGV_OUTPUTS)
+    return st.sampled_from(ARGV_VALUES[flag])
+
+
+@st.composite
+def _argv(draw):
+    verb = draw(st.sampled_from(sorted(ARGV_FLAGS)))
+    # Mostly the verb's own flags; now and then one it does not take.
+    flags = [*ARGV_FLAGS[verb] * 3, "--seed", "--config", "--bogus", "--frames", "--out"]
+    argv = [*verb.split(), *ARGV_BASE[verb]]
+    if draw(st.integers(0, 7)):
+        argv += ["--seed", "1"]
+    for flag in draw(st.lists(st.sampled_from(flags), max_size=4)):
+        argv += [flag, draw(_argv_values(flag))]
+    return argv
+
+
+@settings(derandomize=True, deadline=None, max_examples=400,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(argv=_argv())
+def test_argv_fuzz_exits_0_1_or_2_with_one_line(tmp_path, argv):
+    (tmp_path / "out").mkdir(exist_ok=True)
+    (tmp_path / "in" / "dir").mkdir(parents=True, exist_ok=True)
+    for name, text in {**ARGV_PATTERNS, **ARGV_CONFIGS}.items():
+        path = tmp_path / "in" / name
+        path.write_bytes(text if isinstance(text, bytes) else text.encode())
+    cwd, err = os.getcwd(), io.StringIO()
+    os.chdir(tmp_path)  # every drawn path is relative to it
+    try:
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = execute(argv)
+    finally:
+        os.chdir(cwd)
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()
+    if code:
+        assert len(err.getvalue().splitlines()) == 1

@@ -1,0 +1,72 @@
+"""The public names of ``complexkit`` and the module attributes that the
+traced bench (``bench/tracing.py``) rebinds to time each layer.
+
+A rename or removal here either changes the public surface or leaves a
+traced layer unmeasured, so it has to be made on purpose.
+"""
+
+import importlib
+from types import ModuleType
+
+import complexkit
+from complexkit import evolution
+
+PUBLIC_NAMES = {
+    "Agent", "AgentType", "Branch", "CONWAY_LIFE", "ComplexityProfile", "Coordinate",
+    "DegenerateStrategyError", "DivergenceError", "Environment", "EvaluationError",
+    "EvolutionConfig", "Frame", "FrameError", "GenerationStats", "Genome", "Grid", "Individual",
+    "IterativeMap", "Observation", "PatternClass", "PatternFormatError", "Population", "Rule",
+    "RuleError", "RuleSet", "ScenarioError", "StateCensus", "Strategy", "Topology", "Trajectory",
+    "UnsupportedFormatError", "build_environment", "classify_pattern", "coarse_grain",
+    "complexity_profile", "crossover", "decode_pattern", "divergence_rate",
+    "divergence_rate_two_trajectory", "double_on_second_rule", "encode_pattern",
+    "episode_fitness", "evolve", "identity_map", "info_bits", "iterate", "linear_rule",
+    "logistic_map", "mutate", "neighbors", "observe", "reinforce", "respond", "run",
+    "run_scenario", "select", "select_rule", "snapshot", "step", "theoretical_bits", "tick",
+    "weights_from_genome",
+}
+
+# Every attribute that bench/tracing.py's install() rebinds, as
+# "module.attribute" under complexkit.
+TRACED = [
+    "automaton.step", "automaton.run", "grid.Grid.__init__", "complexity.coarse_grain",
+    "scenario.tick", "cas.select_rule", "cas.respond", "cas.reinforce",
+    "coevolve.run_scenario", "evolution.select", "evolution.crossover", "evolution.mutate",
+    "dynamics.iterate", "cli.run", "cli.decode_pattern", "cli.encode_pattern",
+    "cli.complexity_profile", "cli.build_environment", "cli.run_scenario", "cli.evolve",
+    "cli.episode_fitness", "cli.divergence_rate", "cli.execute",
+]
+
+
+def test_public_names_are_pinned():
+    names = {
+        name for name in dir(complexkit)
+        if not name.startswith("_") and not isinstance(getattr(complexkit, name), ModuleType)
+    }
+    assert names == PUBLIC_NAMES
+
+
+def test_every_traced_attribute_exists():
+    for dotted in TRACED:
+        module, *path = dotted.split(".")
+        target = importlib.import_module(f"complexkit.{module}")
+        for attr in path:
+            target = getattr(target, attr)
+        assert callable(target), dotted
+
+
+def test_evolve_calls_the_operators_through_the_module(monkeypatch):
+    """A wrapper bound on the module is what evolve calls, so the traced
+    evolution.select/crossover/mutate times measure the run."""
+    calls = {}
+    for name in ("select", "crossover", "mutate"):
+        def counted(*args, _name=name, _fn=getattr(evolution, name), **kwargs):
+            calls[_name] = calls.get(_name, 0) + 1
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(evolution, name, counted)
+    cfg = evolution.EvolutionConfig(genome_length=6, population_size=6, generations=3,
+                                    mutation_rate=0.1, crossover_rate=1.0, seed=2)
+    evolution.evolve(cfg, lambda genome: float(genome.count("1")))
+    # Three generations of five children each (one elite), bred in pairs.
+    assert calls == {"select": 3 * 3, "crossover": 3 * 3, "mutate": 3 * 5}
