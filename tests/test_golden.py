@@ -4,8 +4,11 @@ The agent digests were taken by this module's ``main`` on the commit
 "Draw agent randomness from a counter-based SplitMix64 stream", which
 replaced the Mersenne Twister the agent engine reseeded per agent and
 tick. The dynamics digests were taken on the commit before the
-Lyapunov estimators stopped materialising the orbit, and the Life digests
-on the commit before ``step`` became generation 1 of ``run``. Any other change
+Lyapunov estimators stopped materialising the orbit, the Life digests
+on the commit before ``step`` became generation 1 of ``run``, and the
+sparse-soup digests on the commit before two-state generations were
+yielded packed; the soup's RLE and population CSV also match the
+independent bitboard oracle in ``bench/workloads.py``. Any other change
 to the engines must keep every one of them; a change that means to move
 a trajectory regenerates them and says so. To
 regenerate, run ``PYTHONPATH=src python tests/test_golden.py`` from the
@@ -63,6 +66,10 @@ MIXED_SCENARIO = {
 R_PENTOMINO_RLE = "x = 3, y = 3, rule = B3/S23\nb2o$2o$bo!"
 COLOR_RLE = "x = 3, y = 3, rule = B3/S23\nbAB$BA$bB!"
 HEX_SOUP_RLE = "x = 8, y = 8, rule = B3/S23\n2bobobo$2b2obobo$2b2o2bo$bo3b3o$3b3o$b3obo$o4b3o$2bo!"
+# A sparse 64x64 soup (7 % live, seed 1): over 600 generations its board
+# re-packs 18 times, and in the last ~40 the gliders it sends off stretch
+# the box past ``_SPARSE`` cells per live cell, so it steps on the set.
+SOUP_SIZE, SOUP_DENSITY, SOUP_SEED, SOUP_GENS = 64, 0.07, 1, 600
 CLASSIFY_RLE = {
     "blinker": "x = 3, y = 1, rule = B3/S23\n3o!",
     "block": "x = 2, y = 2, rule = B3/S23\n2o$2o!",
@@ -97,6 +104,9 @@ GOLDEN = {
     "life_states3_rle": "7f13db97ab5fb70c268ce1469e6d25df52815e134a2430e58d00766883ce920f",
     "life_classify_stdout": "8347e489b99d5773701acf3a2e833cb5844798c928a5ed56b59d362a02af40de",
     "complexity_profile_csv": "9230a0b21c88c76c5f63b1fa4c714c53cf40fb85c9412ceee1539f6335e3c131",
+    "life_soup_rle": "000db01d203516001690f8448a6f5337c20d469572b51651933ba06d21f71967",
+    "life_soup_population_csv": "8ff322e7b1df9de42773e241ee06d3c090db76b02462438b3c1a28fbc50d34ca",
+    "complexity_soup_profile_csv": "e32a312fe2898bbb798a4c8903e29b06f5155316296ac526a69f6716876b7230",
 }
 
 
@@ -177,6 +187,30 @@ def life_run_digests(tmp_path: Path) -> tuple[str, str, str]:
     assert len(files) == 61
     return (digest(out.read_bytes()), digest(tuple((f.name, f.read_bytes()) for f in files)),
             digest(metrics.read_bytes()))
+
+
+def soup_plaintext() -> str:
+    rng = random.Random(SOUP_SEED)
+    return "".join(
+        "".join("O" if rng.random() < SOUP_DENSITY else "." for _ in range(SOUP_SIZE)) + "\n"
+        for _ in range(SOUP_SIZE)
+    )
+
+
+def life_soup_digests(tmp_path: Path) -> tuple[str, str, str]:
+    """The RLE ``--out`` and population CSV of ``life run`` on the sparse
+    soup, and the CSV of ``complexity profile`` over the same run."""
+    soup = write_pattern(tmp_path, "soup.cells", soup_plaintext())
+    out, metrics, profile = tmp_path / "soup.rle", tmp_path / "soup.csv", tmp_path / "profile.csv"
+    assert execute([
+        "life", "run", "--pattern", soup, "--gens", str(SOUP_GENS), "--seed", "1",
+        "--out", str(out), "--metrics", str(metrics),
+    ]) == 0
+    assert execute([
+        "complexity", "profile", "--pattern", soup, "--gens", str(SOUP_GENS),
+        "--scales", "1,2,4,8", "--seed", "1", "--metrics", str(profile),
+    ]) == 0
+    return digest(out.read_bytes()), digest(metrics.read_bytes()), digest(profile.read_bytes())
 
 
 def life_hex_population_digest(tmp_path: Path) -> str:
@@ -271,6 +305,12 @@ def test_life_run_outputs(tmp_path):
         GOLDEN["life_run_rle"], GOLDEN["life_run_frames"], GOLDEN["life_run_population_csv"])
 
 
+def test_life_soup_outputs(tmp_path):
+    assert life_soup_digests(tmp_path) == (
+        GOLDEN["life_soup_rle"], GOLDEN["life_soup_population_csv"],
+        GOLDEN["complexity_soup_profile_csv"])
+
+
 def test_life_hex_population_csv(tmp_path):
     assert life_hex_population_digest(tmp_path) == GOLDEN["life_hex_population_csv"]
 
@@ -295,6 +335,7 @@ def main() -> None:
     # The CLI's own stdout goes to stderr, so stdout holds only the literal.
     with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(sys.stderr):
         life_run = life_run_digests(Path(tmp))
+        soup = life_soup_digests(Path(tmp))
         current = {
             "cas_snapshot": cas[0],
             "cas_metrics": cas[1],
@@ -314,6 +355,9 @@ def main() -> None:
             "life_states3_rle": life_states3_digest(Path(tmp)),
             "life_classify_stdout": life_classify_digest(Path(tmp)),
             "complexity_profile_csv": complexity_profile_digest(Path(tmp)),
+            "life_soup_rle": soup[0],
+            "life_soup_population_csv": soup[1],
+            "complexity_soup_profile_csv": soup[2],
         }
     print("GOLDEN = {")
     for name, value in current.items():
