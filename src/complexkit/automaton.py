@@ -17,6 +17,12 @@ one steps on the coordinate set, whose cost follows the population and
 whose memory stays bounded however far apart its cells are. Both engines
 read each neighborhood from the grid's ``Topology``, so square and hex
 share one code path.
+
+A two-state generation stepped on the board is yielded as a ``Grid`` that
+holds a snapshot of the board and decodes its cells only when a caller
+first reads them, so a caller that reads only ``population`` pays for no
+decode. The engine itself decodes a generation only to re-pack it or to
+hand it to the set engine.
 """
 
 from __future__ import annotations
@@ -26,7 +32,7 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Collection, Iterator
 
-from .grid import Coordinate, Grid, Topology
+from .grid import Coordinate, Grid, Topology, _decode, _Packed
 
 
 class RuleError(ValueError):
@@ -139,9 +145,6 @@ def _set_step(live: Collection[Coordinate], rule: RuleSet, offsets) -> set[Coord
     return nxt
 
 
-# Set-bit offsets of each byte value, lowest bit first.
-_BYTE_BITS = tuple(tuple(k for k in range(8) if v >> k & 1) for v in range(256))
-
 # Empty border, in cells, that a re-pack leaves around the live cells: a
 # wider one re-packs less often but makes every step work on more bits.
 _MARGIN = 8
@@ -194,25 +197,14 @@ class _Board:
         board.ring = int.from_bytes(edge_columns, "little") | row | row << (height - 1) * stride
         return board
 
+    def snapshot(self) -> _Packed:
+        """The live cells as ``(bits, stride, height, ox, oy)``. The int is
+        immutable, so later steps leave the snapshot as it is."""
+        return self.bits, self.stride, self.height, self.ox, self.oy
+
     def coords(self) -> list[Coordinate]:
         """Live cells, row by row."""
-        out: list[Coordinate] = []
-        append = out.append
-        data = self.bits.to_bytes(self.stride * self.height // 8, "little")
-        row_bytes = self.stride // 8
-        blank = bytes(row_bytes)
-        y = self.oy
-        for start in range(0, len(data), row_bytes):
-            row = data[start : start + row_bytes]
-            if row != blank:
-                x0 = self.ox
-                for byte in row:
-                    if byte:
-                        for k in _BYTE_BITS[byte]:
-                            append((x0 + k, y))
-                    x0 += 8
-            y += 1
-        return out
+        return _decode(*self.snapshot())
 
     def step(self, rule: RuleSet) -> None:
         """Advance one generation in place.
@@ -277,27 +269,34 @@ def run(grid: Grid, rule: RuleSet = CONWAY_LIFE, generations: int = 0) -> Iterat
 
 def _generations(grid: Grid, rule: RuleSet, generations: int) -> Iterator[Grid]:
     yield grid
-    topology, cells = grid.topology, grid.cells
+    topology = grid.topology
     offsets = topology.offsets
     # Newborns of an all-1 grid have only neighbors of color 1.
-    colorless = set(cells.values()) <= {1}
-    live: Collection[Coordinate] = cells
-    board = None
+    colorless = set(grid.cells.values()) <= {1}
+    prev, board = grid, None
     for _ in range(generations):
+        # A packed ``prev`` decodes here, once, and only to re-pack or to
+        # step on the set; the keys of ``prev.cells`` are its live cells,
+        # with O(1) lookup.
         if board is None or board.bits & board.ring:
-            board = _Board.pack(live, topology)
+            board = _Board.pack(prev.cells, topology)
         if board is None:
-            # The keys of ``cells`` are the live cells, with O(1) lookup.
-            live = _set_step(cells, rule, offsets)
+            live: Collection[Coordinate] = _set_step(prev.cells, rule, offsets)
         else:
             board.step(rule)
+            if colorless:
+                prev = Grid._trusted(board.snapshot(), topology)
+                yield prev
+                continue
             live = board.coords()
         if colorless:
             cells = dict.fromkeys(live, 1)
         else:
             # Survivors keep their color; newborns take their neighbors'.
-            cells = {c: cells.get(c) or _newborn_state(c, cells, offsets, rule.states) for c in live}
-        yield Grid._trusted(cells, topology)
+            old = prev.cells
+            cells = {c: old.get(c) or _newborn_state(c, old, offsets, rule.states) for c in live}
+        prev = Grid._trusted(cells, topology)
+        yield prev
 
 
 def classify_pattern(grid: Grid, rule: RuleSet = CONWAY_LIFE, horizon: int = 64) -> PatternClass:

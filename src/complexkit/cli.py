@@ -132,6 +132,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _read_text(path: str, flag: str) -> str:
+    """The UTF-8 text of an input file; one that is not UTF-8 is a parse
+    error that names the flag and the file."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ScenarioError(f"{flag} {path} is not UTF-8 text: {exc.reason} "
+                            f"0x{exc.object[exc.start]:02x}") from None
+
+
 def _merge_config(parser: argparse.ArgumentParser, argv: list[str],
                   args: argparse.Namespace) -> argparse.Namespace:
     """Parse ``argv`` again with the config file's values as the verb's
@@ -140,7 +150,7 @@ def _merge_config(parser: argparse.ArgumentParser, argv: list[str],
     value is skipped. Keys that are not flags form ``args.scenario`` where
     the verb has one, and are refused elsewhere."""
     if args.config:
-        doc = json.loads(Path(args.config).read_text())
+        doc = json.loads(_read_text(args.config, "--config"))
         if not isinstance(doc, dict):
             raise ScenarioError("config file must contain a JSON object")
         flags = {a.dest: a for a in args.command._actions if a.dest != "help"}
@@ -181,7 +191,7 @@ def _load_pattern(args) -> tuple[Grid, RuleSet]:
     if not args.pattern:
         raise ScenarioError("a --pattern file is required")
     path = Path(args.pattern)
-    grid, rule = decode_pattern(path.read_text(), _codec(path))
+    grid, rule = decode_pattern(_read_text(args.pattern, "--pattern"), _codec(path))
     topology = Topology(getattr(args, "topology", "square"))
     if args.rule:
         rule = RuleSet.parse(args.rule)

@@ -1,8 +1,12 @@
 """Sparse unbounded lattices (square Moore and hexagonal axial).
 
-A grid stores only its non-dead cells in a coordinate -> state map, so the
-lattice itself has no edges. Square coordinates are (x, y) cell offsets;
-hexagonal coordinates are axial (q, r) pairs on a honeycomb.
+A grid holds only its non-dead cells, so the lattice itself has no edges.
+It keeps them in a coordinate -> state map, or, for a two-state generation
+that the automaton stepped on its bit board, as a packed snapshot of that
+board: the map is then decoded on first read, and the population and
+truthiness come from the bit count without a decode. Square coordinates
+are (x, y) cell offsets; hexagonal coordinates are axial (q, r) pairs on a
+honeycomb.
 """
 
 from __future__ import annotations
@@ -46,6 +50,36 @@ def neighbors(coord: Coordinate, topology: Topology) -> list[Coordinate]:
     return [(x + dx, y + dy) for dx, dy in topology.offsets]
 
 
+# A packed board: bit ``(y - oy) * stride + (x - ox)`` is live cell (x, y),
+# in a region of ``stride`` columns (a multiple of 8, so each row is whole
+# bytes) by ``height`` rows.
+_Packed = tuple[int, int, int, int, int]  # (bits, stride, height, ox, oy)
+
+# Set-bit offsets of each byte value, lowest bit first.
+_BYTE_BITS = tuple(tuple(k for k in range(8) if v >> k & 1) for v in range(256))
+
+
+def _decode(bits: int, stride: int, height: int, ox: int, oy: int) -> list[Coordinate]:
+    """The live cells of a packed board, row by row."""
+    out: list[Coordinate] = []
+    append = out.append
+    data = bits.to_bytes(stride * height // 8, "little")
+    row_bytes = stride // 8
+    blank = bytes(row_bytes)
+    y = oy
+    for start in range(0, len(data), row_bytes):
+        row = data[start : start + row_bytes]
+        if row != blank:
+            x0 = ox
+            for byte in row:
+                if byte:
+                    for k in _BYTE_BITS[byte]:
+                        append((x0 + k, y))
+                x0 += 8
+        y += 1
+    return out
+
+
 class Grid:
     """Immutable sparse grid: a finite map from coordinates to live states.
 
@@ -53,7 +87,8 @@ class Grid:
     mapping coordinate -> state or a bare iterable of coordinates (state 1).
     """
 
-    __slots__ = ("topology", "_cells", "_hash")
+    # A packed grid has ``_packed`` set and ``_cells`` None until first read.
+    __slots__ = ("topology", "_cells", "_packed", "_hash")
 
     def __init__(
         self,
@@ -73,60 +108,70 @@ class Grid:
                     raise ValueError(f"cell state must be a non-negative int, got {state!r}")
                 if state != 0:
                     store[(int(coord[0]), int(coord[1]))] = state
-        self._cells = store
+        self._cells: dict[Coordinate, int] | None = store
+        self._packed: _Packed | None = None
         self._hash: int | None = None
 
     @classmethod
-    def _trusted(cls, store: dict[Coordinate, int], topology: Topology) -> "Grid":
-        """Wrap engine output without re-validating it: ``store`` must map
-        int coordinate pairs to positive int states, and the new grid takes
-        ownership of it. Input from outside the library goes through
+    def _trusted(cls, store: dict[Coordinate, int] | _Packed, topology: Topology) -> "Grid":
+        """Wrap engine output without re-validating it. ``store`` is either a
+        dict that maps int coordinate pairs to positive int states, which
+        the new grid takes ownership of, or a packed board whose set bits
+        are cells of state 1. Input from outside the library goes through
         ``Grid(...)``, which checks every cell."""
         grid = cls.__new__(cls)
         grid.topology = topology
-        grid._cells = store
+        if isinstance(store, tuple):
+            grid._cells, grid._packed = None, store
+        else:
+            grid._cells, grid._packed = store, None
         grid._hash = None
         return grid
 
     @property
     def cells(self) -> Mapping[Coordinate, int]:
+        if self._cells is None:
+            self._cells = dict.fromkeys(_decode(*self._packed), 1)
         return self._cells
 
     @property
     def population(self) -> int:
+        if self._packed is not None:
+            return self._packed[0].bit_count()
         return len(self._cells)
 
     def state(self, coord: Coordinate) -> int:
-        return self._cells.get(coord, 0)
+        return self.cells.get(coord, 0)
 
     def __contains__(self, coord: Coordinate) -> bool:
-        return coord in self._cells
+        return coord in self.cells
 
     def __iter__(self) -> Iterator[Coordinate]:
-        return iter(self._cells)
+        return iter(self.cells)
 
     def __len__(self) -> int:
-        return len(self._cells)
+        return self.population
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Grid):
             return NotImplemented
-        return self.topology is other.topology and self._cells == other._cells
+        return self.topology is other.topology and self.cells == other.cells
 
     def __hash__(self) -> int:
         if self._hash is None:
-            self._hash = hash((self.topology, frozenset(self._cells.items())))
+            self._hash = hash((self.topology, frozenset(self.cells.items())))
         return self._hash
 
     def __repr__(self) -> str:
-        return f"Grid({self._cells!r}, topology={self.topology})"
+        return f"Grid({self.cells!r}, topology={self.topology})"
 
     def bounding_box(self) -> tuple[Coordinate, Coordinate] | None:
         """((min_x, min_y), (max_x, max_y)) of the live cells; None if empty."""
-        if not self._cells:
+        cells = self.cells
+        if not cells:
             return None
-        xs = [c[0] for c in self._cells]
-        ys = [c[1] for c in self._cells]
+        xs = [c[0] for c in cells]
+        ys = [c[1] for c in cells]
         return (min(xs), min(ys)), (max(xs), max(ys))
 
     def translate(self, d: Coordinate) -> "Grid":
@@ -135,7 +180,7 @@ class Grid:
         if dx == 0 and dy == 0:
             return self
         return Grid._trusted(
-            {(x + dx, y + dy): s for (x, y), s in self._cells.items()}, self.topology
+            {(x + dx, y + dy): s for (x, y), s in self.cells.items()}, self.topology
         )
 
     def canonicalize(self) -> "Grid":

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from complexkit import automaton
+from complexkit import automaton, grid
 from complexkit.automaton import CONWAY_LIFE, RuleError, RuleSet, classify_pattern, run, step
 from complexkit.grid import Grid, Topology
 
@@ -300,6 +300,29 @@ def test_gliders_flying_apart_move_from_the_board_to_the_set():
         assert [set(h.cells) for h in run(g, CONWAY_LIFE, 600)] == expected
     assert ran["board"] and ran["set"]
     assert ran["board"] + len(ran["set"]) == 600
+
+
+def test_a_run_read_for_its_population_decodes_only_to_repack(monkeypatch):
+    counts = {"decode": 0, "pack": 0}
+    decode, pack = grid._decode, automaton._Board.pack
+
+    def counted_decode(*board):
+        counts["decode"] += 1
+        return decode(*board)
+
+    def counted_pack(coords, topology):
+        counts["pack"] += 1
+        return pack(coords, topology)
+
+    monkeypatch.setattr(grid, "_decode", counted_decode)
+    monkeypatch.setattr(automaton._Board, "pack", staticmethod(counted_pack))
+    soup = random_soup(random.Random(5), size=100)
+    history = list(run(soup, CONWAY_LIFE, 90))
+    populations = [g.population for g in history]
+    assert history[-1].cells  # like ``life run --out``, read the last generation's cells
+    repacks = counts["pack"] - 1  # the first pack reads generation 0, a dict grid
+    assert counts["decode"] <= repacks + 1 < 10
+    assert populations == [len(cells) for cells in dense_run(set(soup.cells), 90)]
 
 
 def test_far_apart_blinkers_run_in_bounded_memory():

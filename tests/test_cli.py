@@ -104,6 +104,19 @@ def test_malformed_pattern_exits_2(tmp_path, capsys):
     assert execute(["life", "run", "--pattern", str(bad), "--gens", "1", "--seed", "1"]) == 2
 
 
+@pytest.mark.parametrize("argv,flag,name", [
+    (["life", "run", "--gens", "1", "--seed", "1", "--pattern"], "--pattern", "bin.rle"),
+    (["complexity", "profile", "--seed", "1", "--pattern"], "--pattern", "bin.rle"),
+    (["ga", "run", "--gens", "1", "--config"], "--config", "bin.json"),
+])
+def test_input_file_that_is_not_utf8_exits_2_naming_it(tmp_path, capsys, argv, flag, name):
+    path = tmp_path / name
+    path.write_bytes(b"\xff" + GLIDER_RLE.encode())
+    assert execute([*argv, str(path)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: {flag} {path} is not UTF-8 text: invalid start byte 0xff\n")
+
+
 def test_hex_without_rule_is_domain_error(glider_file):
     bad_pattern = glider_file.parent / "hex.cells"
     bad_pattern.write_text("O\n")

@@ -1,8 +1,12 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from complexkit.automaton import RuleSet, run
 from complexkit.grid import Grid, Topology, neighbors
+from complexkit.patterns import encode_pattern
 
 
 def test_square_neighbors_of_origin():
@@ -89,3 +93,47 @@ def test_canonicalize_translation_invariant():
         g = Grid([(rng.randint(-9, 9), rng.randint(-9, 9)) for _ in range(10)])
         d = (rng.randint(-30, 30), rng.randint(-30, 30))
         assert g.translate(d).canonicalize() == g.canonicalize()
+
+
+@settings(max_examples=100, deadline=None)
+@given(topology=st.sampled_from(list(Topology)), generations=st.integers(0, 40), data=st.data())
+def test_packed_generations_behave_like_their_dict_twins(topology, generations, data):
+    """Each packed generation of a two-state run, fresh for every read,
+    against a dict grid with the same cells in the same order."""
+    degree = topology.degree
+    birth = data.draw(st.frozensets(st.integers(1, degree)), label="birth")
+    survival = data.draw(st.frozensets(st.integers(0, degree)), label="survival")
+    cells = data.draw(
+        st.sets(st.tuples(st.integers(-6, 6), st.integers(-6, 6)), max_size=40), label="cells")
+    shift = data.draw(st.tuples(st.integers(-9, 9), st.integers(-9, 9)), label="shift")
+    for g in run(Grid(cells, topology), RuleSet(birth, survival), generations):
+        if g._packed is None:
+            continue
+
+        def packed():
+            return Grid._trusted(g._packed, topology)
+
+        twin = Grid(dict(packed().cells), topology)
+        for read in (lambda p: p.population, len, bool):
+            p = packed()
+            assert read(p) == read(twin)
+            assert p._cells is None  # answered from the bit count
+        assert packed() == twin and twin == packed() and packed() == packed()
+        other = Topology.HEX if topology is Topology.SQUARE else Topology.SQUARE
+        assert packed() != Grid(twin.cells, other)
+        assert hash(packed()) == hash(twin)
+        assert list(packed().cells.items()) == list(twin.cells.items())
+        assert list(packed()) == list(twin)
+        assert sorted(twin.cells, key=lambda c: (c[1], c[0])) == list(twin.cells)  # row-major
+        probes = [*list(twin.cells)[:3], (99, 99), shift]
+        assert [packed().state(c) for c in probes] == [twin.state(c) for c in probes]
+        assert [c in packed() for c in probes] == [c in twin for c in probes]
+        assert packed().bounding_box() == twin.bounding_box()
+        for moved, expected in ((packed().translate(shift), twin.translate(shift)),
+                                (packed().canonicalize(), twin.canonicalize())):
+            assert moved == expected
+            assert list(moved.cells.items()) == list(expected.cells.items())
+        assert repr(packed()) == repr(twin)
+        if topology is Topology.SQUARE:
+            for fmt in ("rle", "plaintext"):
+                assert encode_pattern(packed(), fmt).encode() == encode_pattern(twin, fmt).encode()
