@@ -18,11 +18,14 @@ whose memory stays bounded however far apart its cells are. Both engines
 read each neighborhood from the grid's ``Topology``, so square and hex
 share one code path.
 
-A two-state generation stepped on the board is yielded as a ``Grid`` that
-holds a snapshot of the board and decodes its cells only when a caller
-first reads them, so a caller that reads only ``population`` pays for no
-decode. The engine itself decodes a generation only to re-pack it or to
-hand it to the set engine.
+The packed layout belongs to ``grid``: ``grid._pack`` builds it and
+``grid._ring`` masks its edge cells. This module steps the bits and
+decides when to re-pack. A two-state generation stepped on the board is
+yielded as a ``Grid`` over the immutable packed tuple that the next step
+reads, and decodes its cells only when a caller first reads them, so a
+caller that reads only ``population`` pays for no decode. The engine
+itself decodes a generation only to re-pack it or to hand it to the set
+engine.
 """
 
 from __future__ import annotations
@@ -32,7 +35,7 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Collection, Iterator
 
-from .grid import Coordinate, Grid, Topology, _decode, _Packed
+from .grid import Coordinate, Grid, Topology, _decode, _pack, _ring
 
 
 class RuleError(ValueError):
@@ -158,91 +161,43 @@ _MARGIN = 8
 _SPARSE = 1024
 
 
-class _Board:
-    """The live cells of a generation packed into one Python int.
+def _board_step(bits: int, stride: int, offsets, rule: RuleSet) -> int:
+    """The live cells one generation after ``bits``, a packed layout
+    ``stride`` columns wide (see ``grid._pack``).
 
-    Bit ``(y - oy) * stride + (x - ox)`` is cell (x, y), in a region of
-    ``stride`` columns (a multiple of 8, so each row is whole bytes) by
-    ``height`` rows. Each pack takes a new origin, so the lattice stays
-    unbounded.
+    The layout's ring must be empty: a live cell on it would carry across
+    a row end, or below row 0, when the neighbor planes are shifted. Births
+    may land on the ring, so the caller re-packs before the next step.
     """
+    # Bit-sliced 4-bit neighbor count (n3 n2 n1 n0), one ripple add per
+    # plane. The neighbor at offset (dx, dy) sits k = dx + dy * stride
+    # bits on, so its plane is the layout shifted right by k bits (left
+    # by -k when k < 0).
+    n0 = n1 = n2 = n3 = 0
+    for dx, dy in offsets:
+        k = dx + dy * stride
+        plane = bits >> k if k > 0 else bits << -k
+        c0 = n0 & plane
+        n0 ^= plane
+        c1 = n1 & c0
+        n1 ^= c0
+        n3 |= n2 & c1
+        n2 ^= c1
 
-    __slots__ = ("topology", "bits", "stride", "height", "ox", "oy", "ring")
+    def count_is(c: int) -> int:
+        if c == 8:
+            return n3
+        if c == 0:
+            return ~(n0 | n1 | n2 | n3)
+        # A count of 8 has low bits 000, so it never matches 1..7.
+        return (n0 if c & 1 else ~n0) & (n1 if c & 2 else ~n1) & (n2 if c & 4 else ~n2)
 
-    @classmethod
-    def pack(cls, coords: Collection[Coordinate], topology: Topology) -> "_Board | None":
-        """A board holding ``coords`` with ``_MARGIN`` empty cells around
-        them, or None if it would hold more than ``_SPARSE`` cells per
-        live cell."""
-        if not coords:
-            return None
-        xs = [x for x, _ in coords]
-        ys = [y for _, y in coords]
-        ox, oy = min(xs) - _MARGIN, min(ys) - _MARGIN
-        stride = -(-(max(xs) - ox + 1 + _MARGIN) // 8) * 8
-        height = max(ys) - oy + 1 + _MARGIN
-        if stride * height > _SPARSE * len(coords):
-            return None
-        buf = bytearray(stride * height // 8)
-        for x, y in coords:
-            i = (y - oy) * stride + x - ox
-            buf[i >> 3] |= 1 << (i & 7)
-        row = (1 << stride) - 1
-        edge_columns = (1 | 1 << (stride - 1)).to_bytes(stride // 8, "little") * height
-        board = cls.__new__(cls)
-        board.topology = topology
-        board.bits = int.from_bytes(buf, "little")
-        board.stride, board.height, board.ox, board.oy = stride, height, ox, oy
-        # Row 0, the last row, column 0 and column stride - 1.
-        board.ring = int.from_bytes(edge_columns, "little") | row | row << (height - 1) * stride
-        return board
-
-    def snapshot(self) -> _Packed:
-        """The live cells as ``(bits, stride, height, ox, oy)``. The int is
-        immutable, so later steps leave the snapshot as it is."""
-        return self.bits, self.stride, self.height, self.ox, self.oy
-
-    def coords(self) -> list[Coordinate]:
-        """Live cells, row by row."""
-        return _decode(*self.snapshot())
-
-    def step(self, rule: RuleSet) -> None:
-        """Advance one generation in place.
-
-        The ring must be empty: a live cell on it would carry across a row
-        end, or below row 0, when the neighbor planes are shifted. Births
-        may land on the ring, so the caller re-packs before the next step.
-        """
-        b, s = self.bits, self.stride
-        # Bit-sliced 4-bit neighbor count (n3 n2 n1 n0), one ripple add per
-        # plane. The neighbor at offset (dx, dy) sits k = dx + dy * stride
-        # bits on, so its plane is the board shifted right by k bits (left
-        # by -k when k < 0).
-        n0 = n1 = n2 = n3 = 0
-        for dx, dy in self.topology.offsets:
-            k = dx + dy * s
-            plane = b >> k if k > 0 else b << -k
-            c0 = n0 & plane
-            n0 ^= plane
-            c1 = n1 & c0
-            n1 ^= c0
-            n3 |= n2 & c1
-            n2 ^= c1
-
-        def count_is(c: int) -> int:
-            if c == 8:
-                return n3
-            if c == 0:
-                return ~(n0 | n1 | n2 | n3)
-            # A count of 8 has low bits 000, so it never matches 1..7.
-            return (n0 if c & 1 else ~n0) & (n1 if c & 2 else ~n1) & (n2 if c & 4 else ~n2)
-
-        born = survive = 0
-        for c in rule.birth:
-            born |= count_is(c)
-        for c in rule.survival:
-            survive |= count_is(c)
-        self.bits = (born & ~b) | (survive & b)
+    born = survive = 0
+    for c in rule.birth:
+        born |= count_is(c)
+    for c in rule.survival:
+        survive |= count_is(c)
+    return (born & ~bits) | (survive & bits)
 
 
 def step(grid: Grid, rule: RuleSet = CONWAY_LIFE) -> Grid:
@@ -273,29 +228,26 @@ def _generations(grid: Grid, rule: RuleSet, generations: int) -> Iterator[Grid]:
     offsets = topology.offsets
     # Newborns of an all-1 grid have only neighbors of color 1.
     colorless = set(grid.cells.values()) <= {1}
-    prev, board = grid, None
+    prev, packed, ring = grid, None, 0
     for _ in range(generations):
-        # A packed ``prev`` decodes here, once, and only to re-pack or to
-        # step on the set; the keys of ``prev.cells`` are its live cells,
-        # with O(1) lookup.
-        if board is None or board.bits & board.ring:
-            board = _Board.pack(prev.cells, topology)
-        if board is None:
-            live: Collection[Coordinate] = _set_step(prev.cells, rule, offsets)
+        # Re-pack when there is no layout or a cell has reached its ring. A
+        # packed ``prev`` decodes here, once, and only to re-pack or to step
+        # on the set; the keys of ``prev.cells`` are its live cells, with
+        # O(1) lookup.
+        if packed is None or packed[0] & ring:
+            packed = _pack(prev.cells, _MARGIN, _SPARSE)
+            ring = 0 if packed is None else _ring(packed[1], packed[2])
+        if packed is None:
+            store = dict.fromkeys(_set_step(prev.cells, rule, offsets), 1)
         else:
-            board.step(rule)
-            if colorless:
-                prev = Grid._trusted(board.snapshot(), topology)
-                yield prev
-                continue
-            live = board.coords()
-        if colorless:
-            cells = dict.fromkeys(live, 1)
-        else:
+            bits, stride, height, ox, oy = packed
+            store = packed = _board_step(bits, stride, offsets, rule), stride, height, ox, oy
+        if not colorless:
             # Survivors keep their color; newborns take their neighbors'.
             old = prev.cells
-            cells = {c: old.get(c) or _newborn_state(c, old, offsets, rule.states) for c in live}
-        prev = Grid._trusted(cells, topology)
+            live = store if packed is None else _decode(*packed)
+            store = {c: old.get(c) or _newborn_state(c, old, offsets, rule.states) for c in live}
+        prev = Grid._trusted(store, topology)
         yield prev
 
 

@@ -25,6 +25,7 @@ import argparse
 import contextlib
 import csv
 import json
+import logging
 import random
 import sys
 from pathlib import Path
@@ -180,6 +181,15 @@ def _csv_out(path: str | None):
             yield csv.writer(fh, lineterminator="\n")
 
 
+def _csv_path(args) -> str | None:
+    """The CSV path of a verb that writes one CSV to ``--out`` or
+    ``--metrics``; stdout when neither is set. Both set is a usage error,
+    since one of them would be dropped."""
+    if args.out and args.metrics:
+        raise ScenarioError("--out and --metrics both name the one CSV; set only one")
+    return args.out or args.metrics
+
+
 def _codec(path: Path) -> str:
     return "rle" if path.suffix.lower() == ".rle" else "plaintext"
 
@@ -275,6 +285,7 @@ def _cmd_ga_run(args) -> int:
 
 
 def _cmd_complexity_profile(args) -> int:
+    path = _csv_path(args)
     scales = []
     for piece in filter(str.strip, args.scales.split(",")):
         try:
@@ -283,7 +294,7 @@ def _cmd_complexity_profile(args) -> int:
             raise ScenarioError(f"scales must be comma-separated integers, got {piece!r}") from None
     grid, rule = _load_pattern(args)
     profile = complexity_profile(run(grid, rule, args.gens), scales)
-    with _csv_out(args.metrics or args.out) as w:
+    with _csv_out(path) as w:
         w.writerow(["scale", "omega", "bits"])
         for census in profile:
             w.writerow([census.scale, census.omega, census.bits])
@@ -291,15 +302,17 @@ def _cmd_complexity_profile(args) -> int:
 
 
 def _cmd_dynamics_lyapunov(args) -> int:
+    path = _csv_path(args)
     rng = random.Random(args.seed)
     lam = divergence_rate(logistic_map(args.r), args.x0, args.steps, burn_in=args.burnin, rng=rng)
-    with _csv_out(args.metrics or args.out) as w:
+    with _csv_out(path) as w:
         w.writerow(["map", "r", "x0", "steps", "burnin", "lyapunov"])
         w.writerow([args.map, args.r, args.x0, args.steps, args.burnin, lam])
     return 0
 
 
 def _cmd_dynamics_sweep(args) -> int:
+    path = _csv_path(args)
     if args.r_from is None or args.r_to is None or args.r_step is None:
         raise ScenarioError("sweep needs --r-from, --r-to and --r-step")
     for dest in ("r_from", "r_to", "r_step"):
@@ -307,7 +320,7 @@ def _cmd_dynamics_sweep(args) -> int:
     if args.r_step <= 0:
         raise ValueError("--r-step must be positive")
     rng = random.Random(args.seed)
-    with _csv_out(args.metrics or args.out) as w:
+    with _csv_out(path) as w:
         w.writerow(["r", "lyapunov"])
         k = 0
         r = args.r_from
@@ -321,20 +334,36 @@ def _cmd_dynamics_sweep(args) -> int:
 
 
 def execute(argv: list[str]) -> int:
-    """Parse argv, run the subcommand, and map failures to exit codes."""
+    """Parse argv, run the subcommand, and map failures to exit codes.
+
+    The run's warnings reach stderr only once it succeeds, so a failed run
+    prints its one error line and nothing else.
+    """
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
+    # Without a handler, logging's last resort would print each warning at once.
+    records: list[logging.LogRecord] = []
+    held = logging.Handler(logging.WARNING)
+    held.emit = records.append
+    root = logging.getLogger()
+    root.addHandler(held)
     try:
-        return args.handler(_merge_config(parser, argv, args))
+        code = args.handler(_merge_config(parser, argv, args))
     except (PatternFormatError, ScenarioError, json.JSONDecodeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (ValueError, DivergenceError) as exc:  # every engine error is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    finally:
+        root.removeHandler(held)
+    if code == 0:
+        for record in records:
+            print(held.format(record), file=sys.stderr)
+    return code
 
 
 def main() -> None:

@@ -2,17 +2,20 @@
 
 A grid holds only its non-dead cells, so the lattice itself has no edges.
 It keeps them in a coordinate -> state map, or, for a two-state generation
-that the automaton stepped on its bit board, as a packed snapshot of that
-board: the map is then decoded on first read, and the population and
-truthiness come from the bit count without a decode. Square coordinates
-are (x, y) cell offsets; hexagonal coordinates are axial (q, r) pairs on a
-honeycomb.
+that the automaton stepped as bits, as a packed layout: the map is then
+decoded on first read, and the population and truthiness come from the
+bit count without a decode. Square coordinates are (x, y) cell offsets;
+hexagonal coordinates are axial (q, r) pairs on a honeycomb.
+
+This module owns the packed layout: ``_pack`` builds it, ``_decode``
+reads it and ``_ring`` masks its edge cells. The automaton only steps the
+bits and decides when to re-pack.
 """
 
 from __future__ import annotations
 
 import enum
-from typing import Iterable, Iterator, Mapping
+from typing import Collection, Iterable, Iterator, Mapping
 
 Coordinate = tuple[int, int]
 
@@ -50,17 +53,55 @@ def neighbors(coord: Coordinate, topology: Topology) -> list[Coordinate]:
     return [(x + dx, y + dy) for dx, dy in topology.offsets]
 
 
-# A packed board: bit ``(y - oy) * stride + (x - ox)`` is live cell (x, y),
+# A packed layout: bit ``(y - oy) * stride + (x - ox)`` is live cell (x, y),
 # in a region of ``stride`` columns (a multiple of 8, so each row is whole
-# bytes) by ``height`` rows.
+# bytes) by ``height`` rows. Each pack takes a new origin, so the lattice
+# stays unbounded.
 _Packed = tuple[int, int, int, int, int]  # (bits, stride, height, ox, oy)
 
 # Set-bit offsets of each byte value, lowest bit first.
 _BYTE_BITS = tuple(tuple(k for k in range(8) if v >> k & 1) for v in range(256))
 
 
+def _box(coords: Collection[Coordinate]) -> tuple[Coordinate, Coordinate] | None:
+    """((min_x, min_y), (max_x, max_y)) of ``coords``; None if empty."""
+    if not coords:
+        return None
+    xs = [x for x, _ in coords]
+    ys = [y for _, y in coords]
+    return (min(xs), min(ys)), (max(xs), max(ys))
+
+
+def _pack(cells: Collection[Coordinate], margin: int, sparse: int) -> _Packed | None:
+    """``cells`` packed with ``margin`` empty cells around them, or None if
+    there are none or the layout would hold more than ``sparse`` cells per
+    live cell."""
+    box = _box(cells)
+    if box is None:
+        return None
+    (min_x, min_y), (max_x, max_y) = box
+    ox, oy = min_x - margin, min_y - margin
+    stride = -(-(max_x - ox + 1 + margin) // 8) * 8
+    height = max_y - oy + 1 + margin
+    if stride * height > sparse * len(cells):
+        return None
+    buf = bytearray(stride * height // 8)
+    for x, y in cells:
+        i = (y - oy) * stride + x - ox
+        buf[i >> 3] |= 1 << (i & 7)
+    return int.from_bytes(buf, "little"), stride, height, ox, oy
+
+
+def _ring(stride: int, height: int) -> int:
+    """The edge cells of a layout: row 0, the last row, column 0 and
+    column ``stride - 1``."""
+    row = (1 << stride) - 1
+    columns = (1 | 1 << (stride - 1)).to_bytes(stride // 8, "little") * height
+    return int.from_bytes(columns, "little") | row | row << (height - 1) * stride
+
+
 def _decode(bits: int, stride: int, height: int, ox: int, oy: int) -> list[Coordinate]:
-    """The live cells of a packed board, row by row."""
+    """The live cells of a packed layout, row by row."""
     out: list[Coordinate] = []
     append = out.append
     data = bits.to_bytes(stride * height // 8, "little")
@@ -88,7 +129,7 @@ class Grid:
     """
 
     # A packed grid has ``_packed`` set and ``_cells`` None until first read.
-    __slots__ = ("topology", "_cells", "_packed", "_hash")
+    __slots__ = ("topology", "_cells", "_packed")
 
     def __init__(
         self,
@@ -110,13 +151,12 @@ class Grid:
                     store[(int(coord[0]), int(coord[1]))] = state
         self._cells: dict[Coordinate, int] | None = store
         self._packed: _Packed | None = None
-        self._hash: int | None = None
 
     @classmethod
     def _trusted(cls, store: dict[Coordinate, int] | _Packed, topology: Topology) -> "Grid":
         """Wrap engine output without re-validating it. ``store`` is either a
         dict that maps int coordinate pairs to positive int states, which
-        the new grid takes ownership of, or a packed board whose set bits
+        the new grid takes ownership of, or a packed layout whose set bits
         are cells of state 1. Input from outside the library goes through
         ``Grid(...)``, which checks every cell."""
         grid = cls.__new__(cls)
@@ -125,7 +165,6 @@ class Grid:
             grid._cells, grid._packed = None, store
         else:
             grid._cells, grid._packed = store, None
-        grid._hash = None
         return grid
 
     @property
@@ -158,21 +197,14 @@ class Grid:
         return self.topology is other.topology and self.cells == other.cells
 
     def __hash__(self) -> int:
-        if self._hash is None:
-            self._hash = hash((self.topology, frozenset(self.cells.items())))
-        return self._hash
+        return hash((self.topology, frozenset(self.cells.items())))
 
     def __repr__(self) -> str:
         return f"Grid({self.cells!r}, topology={self.topology})"
 
     def bounding_box(self) -> tuple[Coordinate, Coordinate] | None:
         """((min_x, min_y), (max_x, max_y)) of the live cells; None if empty."""
-        cells = self.cells
-        if not cells:
-            return None
-        xs = [c[0] for c in cells]
-        ys = [c[1] for c in cells]
-        return (min(xs), min(ys)), (max(xs), max(ys))
+        return _box(self.cells)
 
     def translate(self, d: Coordinate) -> "Grid":
         """Shift every live cell by ``d``, preserving states."""

@@ -256,19 +256,19 @@ def engines(sparse=None):
     """Count the generations each engine steps, optionally with ``_SPARSE``
     patched; yields {"board": steps, "set": [population of each set step]}."""
     ran = {"board": 0, "set": []}
-    set_step, board_step = automaton._set_step, automaton._Board.step
+    set_step, board_step = automaton._set_step, automaton._board_step
 
     def counted_set_step(live, rule, offsets):
         ran["set"].append(len(live))
         return set_step(live, rule, offsets)
 
-    def counted_board_step(board, rule):
+    def counted_board_step(bits, stride, offsets, rule):
         ran["board"] += 1
-        board_step(board, rule)
+        return board_step(bits, stride, offsets, rule)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(automaton, "_set_step", counted_set_step)
-        mp.setattr(automaton._Board, "step", counted_board_step)
+        mp.setattr(automaton, "_board_step", counted_board_step)
         if sparse is not None:
             mp.setattr(automaton, "_SPARSE", sparse)
         yield ran
@@ -304,18 +304,18 @@ def test_gliders_flying_apart_move_from_the_board_to_the_set():
 
 def test_a_run_read_for_its_population_decodes_only_to_repack(monkeypatch):
     counts = {"decode": 0, "pack": 0}
-    decode, pack = grid._decode, automaton._Board.pack
+    decode, pack = grid._decode, automaton._pack
 
     def counted_decode(*board):
         counts["decode"] += 1
         return decode(*board)
 
-    def counted_pack(coords, topology):
+    def counted_pack(cells, margin, sparse):
         counts["pack"] += 1
-        return pack(coords, topology)
+        return pack(cells, margin, sparse)
 
     monkeypatch.setattr(grid, "_decode", counted_decode)
-    monkeypatch.setattr(automaton._Board, "pack", staticmethod(counted_pack))
+    monkeypatch.setattr(automaton, "_pack", counted_pack)
     soup = random_soup(random.Random(5), size=100)
     history = list(run(soup, CONWAY_LIFE, 90))
     populations = [g.population for g in history]

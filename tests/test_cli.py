@@ -3,7 +3,10 @@ import copy
 import io
 import json
 import os
+import subprocess
+import sys
 import tempfile
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -14,6 +17,8 @@ from complexkit.grid import Grid
 from complexkit.patterns import decode_pattern
 
 from oracles import dense_run
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 GLIDER_RLE = "x = 3, y = 3, rule = B3/S23\nbob$2bo$3o!"
 GLIDER_CELLS = {(1, 0), (2, 1), (0, 2), (1, 2), (2, 2)}
@@ -411,12 +416,60 @@ def test_dynamics_sweep_csv(tmp_path):
     assert all(float(line.split(",")[1]) < 0.1 for line in lines[1:])
 
 
+@pytest.mark.parametrize("verb", [
+    ["complexity", "profile", "--pattern", "glider.rle", "--gens", "2"],
+    ["dynamics", "lyapunov", "--steps", "20", "--burnin", "5"],
+    ["dynamics", "sweep", "--r-from", "3", "--r-to", "4", "--r-step", "0.5", "--steps", "20",
+     "--burnin", "5"],
+], ids=["profile", "lyapunov", "sweep"])
+@pytest.mark.parametrize("source", ["flags", "config"])
+def test_one_csv_named_by_both_out_and_metrics_exits_2(tmp_path, capsys, monkeypatch, verb,
+                                                       source):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "glider.rle").write_text(GLIDER_RLE)
+    (tmp_path / "config.json").write_text(json.dumps({"seed": 1, "metrics": "b.csv"}))
+    both = {"flags": ["--seed", "1", "--out", "a.csv", "--metrics", "b.csv"],
+            "config": ["--config", "config.json", "--out", "a.csv"]}[source]
+    assert execute([*verb, *both]) == 2
+    assert capsys.readouterr() == (
+        "", "error: --out and --metrics both name the one CSV; set only one\n")
+    assert not (tmp_path / "a.csv").exists() and not (tmp_path / "b.csv").exists()
+
+
+def _cli(cwd, *argv):
+    """Run the CLI in a fresh interpreter, where logging has no handler
+    that a test harness installed."""
+    return subprocess.run([sys.executable, "-m", "complexkit.cli", *argv], cwd=cwd,
+                          capture_output=True, text=True, timeout=60,
+                          env={**os.environ, "PYTHONPATH": str(SRC)})
+
+
+FLOORED = ["dynamics", "lyapunov", "--r", "0", "--steps", "5", "--burnin", "2", "--seed", "1"]
+
+
+def test_a_failed_run_prints_only_its_error_line(tmp_path):
+    (tmp_path / "out").mkdir()
+    done = _cli(tmp_path, *FLOORED, "--out", "out")  # a directory, so the write fails
+    assert done.returncode == 2
+    assert done.stdout == ""
+    [line] = done.stderr.splitlines()
+    assert line.startswith("error: ") and "'out'" in line
+
+
+def test_a_run_that_succeeds_prints_its_warning_once(tmp_path):
+    done = _cli(tmp_path, *FLOORED)
+    assert done.returncode == 0
+    assert done.stderr == "zero derivative at 5 of 5 steps; floored at 1e-300\n"
+    assert done.stdout.splitlines() == [
+        "map,r,x0,steps,burnin,lyapunov", "logistic,0.0,0.3,5,2,-690.7755278982137"]
+
+
 # One small document per verb; the fuzz test below edits values at every
 # path inside it. Run sizes stay at 20 or less, so each example takes
 # milliseconds.
 FUZZ_DOCS = {
     "dynamics lyapunov": {"seed": 1, "map": "logistic", "r": 3.9, "x0": 0.3, "steps": 20,
-                          "burnin": 5, "out": "lyapunov.csv", "metrics": "m.csv"},
+                          "burnin": 5, "out": "lyapunov.csv"},
     "ga run": {"seed": 1, "problem": "coevolve", "length": 8, "pop": 6, "gens": 3, "mut": 0.1,
                "cx": 0.9, "elite": 1, "tournament": 2, "metrics": "ga.csv"},
     "cas run": {

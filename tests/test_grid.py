@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from complexkit.automaton import RuleSet, run
-from complexkit.grid import Grid, Topology, neighbors
+from complexkit.grid import Grid, Topology, _decode, _pack, _ring, neighbors
 from complexkit.patterns import encode_pattern
 
 
@@ -137,3 +137,44 @@ def test_packed_generations_behave_like_their_dict_twins(topology, generations, 
         if topology is Topology.SQUARE:
             for fmt in ("rle", "plaintext"):
                 assert encode_pattern(packed(), fmt).encode() == encode_pattern(twin, fmt).encode()
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    corner=st.tuples(st.integers(-10**6, 10**6), st.integers(-10**6, 10**6)),
+    size=st.tuples(st.integers(1, 100), st.integers(1, 100)),
+    margin=st.sampled_from([0, 3, 8]),
+    sparse=st.integers(1, 300),
+    data=st.data(),
+)
+def test_pack_lays_out_decodes_and_rings_any_cell_set(corner, size, margin, sparse, data):
+    (x0, y0), (w, h) = corner, size
+    cells = data.draw(st.sets(st.tuples(st.integers(x0, x0 + w - 1), st.integers(y0, y0 + h - 1)),
+                              max_size=30), label="cells")
+    packed = _pack(cells, margin, sparse)
+    if not cells:
+        assert packed is None
+        return
+    # Thin, wide and negative boxes alike: the margin on every side, whole
+    # bytes per row.
+    bits, stride, height, ox, oy = _pack(cells, margin, 10**9)
+    min_x, min_y = min(x for x, _ in cells), min(y for _, y in cells)
+    width = max(x for x, _ in cells) - min_x + 1 + 2 * margin
+    assert (ox, oy) == (min_x - margin, min_y - margin)
+    assert stride % 8 == 0 and width <= stride < width + 8
+    assert height == max(y for _, y in cells) - min_y + 1 + 2 * margin
+    assert (packed is None) == (stride * height > sparse * len(cells))
+    fits = -(-stride * height // len(cells))  # fewest cells per live cell that pack
+    assert _pack(cells, margin, fits) is not None and _pack(cells, margin, fits - 1) is None
+    assert packed is None or packed == (bits, stride, height, ox, oy)
+    assert _decode(bits, stride, height, ox, oy) == sorted(cells, key=lambda c: (c[1], c[0]))
+    order = data.draw(st.permutations(sorted(cells)), label="order")
+    assert _pack(order, margin, 10**9) == _pack(dict.fromkeys(order, 1), margin, 10**9) == (
+        bits, stride, height, ox, oy)
+    ring = _ring(stride, height)
+    edges = {(i % stride, i // stride) for i in range(stride * height) if ring >> i & 1}
+    assert edges == {(c, r) for r in range(height) for c in range(stride)
+                     if r in (0, height - 1) or c in (0, stride - 1)}
+    assert ring < 1 << stride * height
+    if margin:
+        assert not bits & ring
