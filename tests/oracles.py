@@ -14,7 +14,10 @@ it coloured cells after stepping: it reads every neighbour's colour while
 it counts, and gives each newborn the majority colour of its neighbours.
 The GA reference is the generational loop that scored each new
 population in a separate pass and ranked it twice, built only from the
-public pieces of ``complexkit.evolution``.
+public pieces of ``complexkit.evolution``. The profile reference is the
+complexity profile as it was measured on cell dicts: each generation
+coarse-grained by the public ``coarse_grain``, and each observed state
+kept as a ``Grid`` in a per-scale set.
 """
 
 import logging
@@ -34,6 +37,7 @@ from complexkit.dynamics import (
     weighted_index,
 )
 from complexkit.automaton import RuleSet
+from complexkit.complexity import ComplexityProfile, StateCensus, coarse_grain
 from complexkit.evolution import (
     EvaluationError,
     GenerationStats,
@@ -394,3 +398,35 @@ def reference_evolve(cfg, fitness):
         evaluate(population)
         record(generation)
     return overall_best, stats
+
+
+def reference_profile(history, scales):
+    """The complexity profile as ``complexity_profile`` measured it on cell
+    dicts: every generation coarse-grained with ``coarse_grain``, each scale
+    from the previous one, and each state kept as a ``Grid``."""
+    if not scales:
+        raise ValueError("need at least one scale")
+    prev = None
+    for s in scales:
+        if s < 1:
+            raise ValueError(f"scales must be positive, got {s}")
+        if prev is not None and (s <= prev or s % prev != 0):
+            raise ValueError(
+                f"scales must form an ascending divisibility chain, got {prev} then {s}"
+            )
+        prev = s
+
+    seen = [set() for _ in scales]
+    sample_size = 0
+    for g in history:
+        sample_size += 1
+        coarse, finer = g, 1
+        for s, states in zip(scales, seen):
+            coarse, finer = coarse_grain(coarse, s // finer), s
+            states.add(coarse)
+    if not sample_size:
+        raise ValueError("history must be non-empty")
+    return ComplexityProfile(entries=tuple(
+        StateCensus(omega=len(states), sample_size=sample_size, scale=s)
+        for s, states in zip(scales, seen)
+    ))

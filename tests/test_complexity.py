@@ -1,9 +1,13 @@
 import math
 import random
+import tracemalloc
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from complexkit.automaton import CONWAY_LIFE, run
+from complexkit import automaton
+from complexkit.automaton import CONWAY_LIFE, RuleSet, run
 from complexkit.complexity import (
     coarse_grain,
     complexity_profile,
@@ -11,6 +15,8 @@ from complexkit.complexity import (
     theoretical_bits,
 )
 from complexkit.grid import Grid, Topology
+
+from oracles import reference_profile
 
 BLOCK = Grid([(0, 0), (0, 1), (1, 0), (1, 1)])
 BLINKER = Grid([(0, 0), (1, 0), (2, 0)])
@@ -146,3 +152,131 @@ def test_profile_distinct_states_keep_fixed_anchoring():
     history = [BLOCK, BLOCK.translate((5, 5))]
     profile = complexity_profile(history, [1])
     assert profile.entries[0].omega == 2
+
+
+# Divisibility chains of powers of two, of three, a mixed one, one past a
+# typical box, and a single scale above 1.
+CHAINS = [[1, 2, 4, 8], [1, 3, 9], [2, 6], [1, 2, 4, 8, 16], [5]]
+GLIDER = Grid([(1, 0), (2, 1), (0, 2), (1, 2), (2, 2)])
+
+
+def outcome(measure, history, scales):
+    """Each census of ``measure``'s profile, or the error it raised."""
+    try:
+        profile = measure(history, scales)
+    except ValueError as exc:
+        return type(exc), str(exc)
+    return [(c.scale, c.omega, c.bits, c.sample_size) for c in profile]
+
+
+def assert_matches_reference(make_history, scales):
+    """``make_history()`` gives a fresh history, since a run is read once."""
+    got = outcome(complexity_profile, make_history(), scales)
+    assert got == outcome(reference_profile, make_history(), scales)
+
+
+@settings(max_examples=120, deadline=None)
+@given(data=st.data())
+def test_profile_matches_the_reference_on_random_runs(data):
+    """Soups anywhere in the plane under random B/S rules, coloured or not,
+    with the engine's density policy patched so that runs stay on the
+    board, stay on the coordinate set, or switch between them."""
+    birth = data.draw(st.frozensets(st.integers(1, 8)), label="birth")
+    survival = data.draw(st.frozensets(st.integers(0, 8)), label="survival")
+    states = data.draw(st.sampled_from([2, 2, 3]), label="states")
+    ox, oy = data.draw(st.integers(-70, 5), label="ox"), data.draw(st.integers(-70, 5), label="oy")
+    size = data.draw(st.integers(1, 24), label="size")
+    density = data.draw(st.sampled_from([0.05, 0.2, 0.35, 0.6]), label="density")
+    rng = random.Random(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    soup = Grid({
+        (ox + x, oy + y): rng.randint(1, states - 1)
+        for x in range(size) for y in range(size) if rng.random() < density
+    })
+    rule = RuleSet(birth, survival, states)
+    gens = data.draw(st.integers(0, 30), label="gens")
+    scales = data.draw(st.sampled_from(CHAINS), label="scales")
+    sparse = data.draw(st.sampled_from([None, 0, 16, 10**9]), label="sparse")
+    with pytest.MonkeyPatch.context() as mp:
+        if sparse is not None:
+            mp.setattr(automaton, "_SPARSE", sparse)
+        assert_matches_reference(lambda: run(soup, rule, gens), scales)
+
+
+# Coordinates near the origin, with now and then one far out, so that a
+# built grid may be dense, sparse, or both at different scales.
+COORDS = st.one_of(st.integers(-40, 40), st.sampled_from([-10**5, -65, 63, 10**4, 2**20 + 3]))
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    pool=st.lists(
+        st.dictionaries(st.tuples(COORDS, COORDS), st.integers(1, 3), max_size=40),
+        min_size=1, max_size=4,
+    ),
+    picks=st.lists(st.integers(0, 3), max_size=8),
+    coloured=st.booleans(),
+    scales=st.sampled_from(CHAINS),
+)
+def test_profile_matches_the_reference_on_built_histories(pool, picks, coloured, scales):
+    """User-built dict grids, empty ones among them, repeated so that
+    states recur."""
+    grids = [Grid(cells if coloured else dict.fromkeys(cells, 1)) for cells in pool]
+    history = [grids[i % len(grids)] for i in picks]
+    assert_matches_reference(lambda: iter(history), scales)
+
+
+def gliders_flying_apart():
+    away = Grid([(-10 - x, -10 - y) for x, y in GLIDER.cells])
+    return Grid(set(GLIDER.cells) | set(away.cells))
+
+
+def far_apart_blinkers():
+    blinker = [(0, -1), (0, 0), (0, 1)]
+    return Grid(blinker + [(x + 10**4, y + 10**4) for x, y in blinker])
+
+
+@pytest.mark.parametrize("make_history, scales", [
+    (lambda: run(gliders_flying_apart(), CONWAY_LIFE, 300), [1, 2, 4, 8]),
+    (lambda: run(gliders_flying_apart(), CONWAY_LIFE, 300), [1, 3, 9]),
+    (lambda: run(far_apart_blinkers(), CONWAY_LIFE, 6), [1, 2, 4, 8, 16]),
+    (lambda: [Grid({(0, 0): 1}), Grid({(0, 0): 2})], [1]),
+    (lambda: [Grid({(0, 0): 1}), Grid({(0, 0): 2})], [1, 2]),
+    (lambda: [Grid({(0, 0): 1}), Grid({(0, 0): 2})], [2]),
+    (lambda: [Grid(), Grid(), Grid([(0, 0)])], [1, 2, 4, 8]),
+    (lambda: [Grid([(0, 0)], topology=Topology.HEX)], [1]),
+    (lambda: [Grid([(0, 0)], topology=Topology.HEX)], [2, 4]),
+    (lambda: [], [1, 2]),
+    (lambda: iter([]), [1]),
+    (lambda: [BLOCK], []),
+    (lambda: [BLOCK], [0, 2]),
+    (lambda: [BLOCK], [2, 1]),
+    (lambda: [BLOCK], [2, 3]),
+    (lambda: [BLOCK], [1, -2]),
+], ids=["gliders-1248", "gliders-139", "blinkers", "colours-1", "colours-12", "colours-2",
+        "empty-grids", "hex-1", "hex-24", "empty-list", "empty-iterator", "no-scales",
+        "zero-scale", "descending", "not-dividing", "negative-scale"])
+def test_profile_matches_the_reference_on_fixed_histories(make_history, scales):
+    assert_matches_reference(make_history, scales)
+
+
+def traced_peak(measure):
+    tracemalloc.start()
+    try:
+        measure()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_profile_of_far_apart_blinkers_runs_in_bounded_memory():
+    peak = traced_peak(lambda: complexity_profile(run(far_apart_blinkers(), CONWAY_LIFE, 10),
+                                                  [1, 2, 4, 8]))
+    assert peak < 2**20
+
+
+def test_profile_at_a_huge_scale_runs_in_bounded_memory():
+    rng = random.Random(40)
+    soup = Grid([(x, y) for x in range(40) for y in range(40) if rng.random() < 0.35])
+    peak = traced_peak(lambda: complexity_profile(run(soup, CONWAY_LIFE, 40),
+                                                  [1, 2, 4, 8, 1048576]))
+    assert peak < 4 * 2**20
