@@ -228,15 +228,27 @@ def _generations(grid: Grid, rule: RuleSet, generations: int) -> Iterator[Grid]:
     offsets = topology.offsets
     # Newborns of an all-1 grid have only neighbors of color 1.
     colorless = set(grid.cells.values()) <= {1}
+    # A generation too sparse to pack steps on the set. The run then tries
+    # to pack again only once its population exceeds the refused one, or
+    # after ``wait`` more generations, a wait that doubles with each
+    # refusal. No more cells than were refused can pass only in a smaller
+    # box, which needs cells on its edge to die, and the wait catches that
+    # case late; a try lists every cell to find the box, which costs more
+    # than the set step of a few gliders.
     prev, packed, ring = grid, None, 0
-    for _ in range(generations):
+    refused, retry, wait = -1, 0, 1
+    for t in range(generations):
         # Re-pack when there is no layout or a cell has reached its ring. A
         # packed ``prev`` decodes here, once, and only to re-pack or to step
         # on the set; the keys of ``prev.cells`` are its live cells, with
         # O(1) lookup.
         if packed is None or packed[0] & ring:
-            packed = _pack(prev.cells, _MARGIN, _SPARSE)
-            ring = 0 if packed is None else _ring(packed[1], packed[2])
+            if packed is not None or prev.population > refused or t >= retry:
+                packed = _pack(prev.cells, _MARGIN, _SPARSE)
+                if packed is None:
+                    refused, retry, wait = prev.population, t + wait, 2 * wait
+                else:
+                    ring, wait = _ring(packed[1], packed[2]), 1
         if packed is None:
             store = dict.fromkeys(_set_step(prev.cells, rule, offsets), 1)
         else:

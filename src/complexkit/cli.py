@@ -31,7 +31,7 @@ import sys
 from pathlib import Path
 
 from .automaton import CONWAY_LIFE, RuleError, RuleSet, classify_pattern, run
-from .complexity import complexity_profile
+from .complexity import _check_scales, complexity_profile
 from .coevolve import episode_fitness
 from .dynamics import DivergenceError, divergence_rate, logistic_map
 from .evolution import EvolutionConfig, evolve
@@ -292,6 +292,10 @@ def _cmd_complexity_profile(args) -> int:
             scales.append(int(piece))
         except ValueError:
             raise ScenarioError(f"scales must be comma-separated integers, got {piece!r}") from None
+    try:
+        _check_scales(scales)
+    except ValueError as exc:
+        raise ScenarioError(f"--scales {args.scales!r}: {exc}") from None
     grid, rule = _load_pattern(args)
     profile = complexity_profile(run(grid, rule, args.gens), scales)
     with _csv_out(path) as w:

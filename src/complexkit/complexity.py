@@ -5,15 +5,31 @@ log2 of the number of distinct states observed. Coarse-graining maps
 blocks of fine cells to single coarse cells, realizing larger scales of
 observation; the resulting bits-vs-scale profile never increases along
 a chain of nested scales.
+
+Blocks are anchored at absolute (0, 0): the block of cell (x, y) at scale
+s is (x // s, y // s), wherever the pattern sits. ``complexity_profile``
+coarse-grains a generation on its packed layout when it has one (a board
+generation of ``run``, or a dict generation that packs densely enough):
+it lays the bits out again on absolute columns, ORs shifted copies of
+them and keeps every s-th column and row. Each scale starts from the
+previous scale's bits. Once a scale exceeds the layout, or when a
+generation is too sparse to pack, it coarse-grains the few cells left on
+their coordinates. It counts a state by a key that depends only on the
+state's cells (``grid._key``): the bytes of its rows trimmed to its
+bounding box, or, for a set too sparse for that, its coordinates. At
+scale 1, a generation with states above 1 is keyed by its cells and their
+states, so that colours count as they do in ``Grid`` equality; coarser
+scales are two-state.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Hashable, Iterable, Sequence
 
-from .grid import Grid, Topology
+from .automaton import _SPARSE
+from .grid import Grid, Topology, _align, _decode, _key, _pack, _packed_key
 
 
 def info_bits(omega: int) -> float:
@@ -87,15 +103,9 @@ class ComplexityProfile:
         return tuple(e.bits for e in self.entries)
 
 
-def complexity_profile(history: Iterable[Grid], scales: Sequence[int]) -> ComplexityProfile:
-    """Measure observed-state information for a history at each scale.
-
-    States are compared at a fixed anchoring (the observer's frame does not
-    follow the pattern around). Scales must be an ascending divisibility
-    chain (each a multiple of the previous, e.g. 1, 2, 4, 8) so that coarse
-    blocks nest and the bits sequence is non-increasing by construction.
-    The history is read once, so it may be an iterator such as ``run(...)``.
-    """
+def _check_scales(scales: Sequence[int]) -> None:
+    """Raise ValueError unless ``scales`` is an ascending divisibility chain
+    of positive scales."""
     if not scales:
         raise ValueError("need at least one scale")
     prev = None
@@ -108,15 +118,80 @@ def complexity_profile(history: Iterable[Grid], scales: Sequence[int]) -> Comple
             )
         prev = s
 
-    seen: list[set[Grid]] = [set() for _ in scales]
+
+def _anchor_mask(stride: int, height: int, scale: int) -> int:
+    """The cells at multiples of ``scale`` of a layout from ``grid._align``
+    whose unit ``scale`` divides."""
+    period = math.lcm(8, scale)
+    pattern = sum(1 << x for x in range(0, period, scale)).to_bytes(period // 8, "little")
+    row_bytes = stride // 8
+    rows = (pattern * (stride // period) + bytes(row_bytes * (scale - 1))) * -(-height // scale)
+    return int.from_bytes(rows[: row_bytes * height], "little")
+
+
+def _state_keys(grid: Grid, scales: Sequence[int]) -> list[Hashable]:
+    """The key of ``grid``'s state at each scale (see the module docstring)."""
+    if grid.topology is not Topology.SQUARE:
+        raise ValueError("coarse graining is defined for square grids only")
+    keys: list[Hashable] = []
+    finer = 1  # the scale of the last key
+    packed, cells = grid._packed, None
+    if packed is None:
+        # Packed when the engine would step it on its board; a sparser
+        # generation costs time and memory in proportion to its population.
+        cells = grid.cells
+        packed = _pack(cells, 0, _SPARSE)
+    fit = [] if packed is None else [s for s in scales if s <= min(packed[1], packed[2])]
+    if fit:
+        bits, stride, height, ox, oy = _align(packed, math.lcm(8, fit[-1]))
+        for s in fit:
+            # "any" blocks nest: OR the anchors of the finer scale that
+            # share a block into its top-left cell, along each row and then
+            # down each column, and keep only those cells.
+            m = s // finer
+            for step in (finer, finer * stride):
+                done = 1
+                while done < m:
+                    n = min(done, m - done)
+                    bits |= bits >> n * step
+                    done += n
+            if m > 1:
+                bits &= _anchor_mask(stride, height, s)
+            keys.append(_packed_key((bits, stride, height, ox, oy), s))
+            finer = s
+        if len(keys) < len(scales):
+            anchors = _decode(bits, stride, height, ox, oy)
+            cells = [(x // finer, y // finer) for x, y in anchors]
+    elif cells is None:
+        cells = _decode(*packed)
+    # The scales left, on the coordinates of the blocks at scale ``finer``.
+    for s in scales[len(keys):]:
+        m = s // finer
+        if m > 1:
+            cells = {(x // m, y // m) for x, y in cells}
+        keys.append(_key(cells, s))
+        finer = s
+    if scales[0] == 1 and grid._packed is None and max(grid.cells.values(), default=1) > 1:
+        keys[0] = frozenset(grid.cells.items())
+    return keys
+
+
+def complexity_profile(history: Iterable[Grid], scales: Sequence[int]) -> ComplexityProfile:
+    """Measure observed-state information for a history at each scale.
+
+    States are compared at a fixed anchoring (the observer's frame does not
+    follow the pattern around). Scales must be an ascending divisibility
+    chain (each a multiple of the previous, e.g. 1, 2, 4, 8) so that coarse
+    blocks nest and the bits sequence is non-increasing by construction.
+    The history is read once, so it may be an iterator such as ``run(...)``.
+    """
+    _check_scales(scales)
+    seen: list[set[Hashable]] = [set() for _ in scales]
     sample_size = 0
     for g in history:
         sample_size += 1
-        coarse, finer = g, 1
-        for s, states in zip(scales, seen):
-            # "any" blocks nest, so each scale coarse-grains the previous one.
-            coarse, finer = coarse_grain(coarse, s // finer), s
-            states.add(coarse)
+        for states, key in zip(seen, _state_keys(g, scales)):
+            states.add(key)
     if not sample_size:
         raise ValueError("history must be non-empty")
     profile = ComplexityProfile(entries=tuple(

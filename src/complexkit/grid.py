@@ -8,14 +8,17 @@ bit count without a decode. Square coordinates are (x, y) cell offsets;
 hexagonal coordinates are axial (q, r) pairs on a honeycomb.
 
 This module owns the packed layout: ``_pack`` builds it, ``_decode``
-reads it and ``_ring`` masks its edge cells. The automaton only steps the
-bits and decides when to re-pack.
+reads it, ``_ring`` masks its edge cells and ``_align`` lays it out again
+on absolute byte columns. The automaton only steps the bits and decides
+when to re-pack. ``_key`` and ``_packed_key`` give a cell set a hashable
+key that does not depend on how the set is held, for the complexity
+census.
 """
 
 from __future__ import annotations
 
 import enum
-from typing import Collection, Iterable, Iterator, Mapping
+from typing import Collection, Hashable, Iterable, Iterator, Mapping
 
 Coordinate = tuple[int, int]
 
@@ -119,6 +122,85 @@ def _decode(bits: int, stride: int, height: int, ox: int, oy: int) -> list[Coord
                 x0 += 8
         y += 1
     return out
+
+
+def _align(packed: _Packed, unit: int) -> _Packed:
+    """The cells of ``packed`` laid out again with the origin and the stride
+    multiples of ``unit``, itself a multiple of 8."""
+    bits, stride, height, ox, oy = packed
+    left, top = ox % unit, oy % unit
+    width = -(-(stride + left) // unit) * unit
+    if width != stride:
+        # Copy each byte column to its place in the wider rows, ``left // 8``
+        # bytes on, then shift the rest of ``left``: the bytes after each
+        # row take the carry, so no cell on the last column wraps into the
+        # next row.
+        old_bytes, new_bytes, lead = stride // 8, width // 8, left // 8
+        data = bits.to_bytes(old_bytes * height, "little")
+        out = bytearray(new_bytes * height)
+        for k in range(old_bytes):
+            out[lead + k :: new_bytes] = data[k::old_bytes]
+        bits = int.from_bytes(out, "little") << (left & 7)
+    return bits << top * width, width, height + top, ox - left, oy - top
+
+
+# Most bytes a dense state key may hold per cell of its set. A sparser set
+# is keyed by its coordinates instead, so a key's size follows the
+# population and not the bounding box.
+_KEY_BYTES = 64
+
+
+def _key(blocks: Collection[Coordinate], scale: int) -> Hashable:
+    """A key of the cells ``(x * scale, y * scale)`` for (x, y) in
+    ``blocks``. At one scale, two cell sets have equal keys if and only if
+    they are equal.
+
+    A dense set is keyed as (x0, y0, width, data). ``data`` holds ``width``
+    absolute byte columns, the first at x0 (a multiple of 8), one after the
+    other; each column has a byte for every ``scale``-th row from y0, the
+    lowest y, down to the highest, with bit x - x0 - 8 * column set for
+    each cell. A sparse set is keyed as the frozenset of its cells, an
+    empty one as None."""
+    box = _box(blocks)
+    if box is None:
+        return None
+    (min_x, min_y), (max_x, max_y) = box
+    x0 = min_x * scale // 8 * 8
+    width = (max_x * scale - x0) // 8 + 1
+    rows = max_y - min_y + 1
+    if width * rows > _KEY_BYTES * len(blocks):
+        return frozenset((x * scale, y * scale) for x, y in blocks)
+    buf = bytearray(width * rows)
+    for x, y in blocks:
+        i = x * scale - x0
+        buf[(i >> 3) * rows + y - min_y] |= 1 << (i & 7)
+    return x0, min_y * scale, width, bytes(buf)
+
+
+def _packed_key(packed: _Packed, scale: int) -> Hashable:
+    """``_key`` of the cells of ``packed``, a layout from ``_align`` whose
+    cells all sit on rows ``scale`` apart from absolute row 0, read off its
+    bits without a decode."""
+    bits, stride, height, ox, oy = packed
+    if not bits:
+        return None
+    top = ((bits & -bits).bit_length() - 1) // stride
+    span = (bits.bit_length() - 1) // stride - top + 1
+    bits >>= top * stride
+    # OR every row into row 0 to find the columns in use.
+    rows, folded = 1, bits
+    while rows < span:
+        folded |= folded >> rows * stride
+        rows *= 2
+    used = folded & ((1 << stride) - 1)
+    first, last = ((used & -used).bit_length() - 1) // 8, (used.bit_length() - 1) // 8
+    width = last - first + 1
+    if width * ((span - 1) // scale + 1) > _KEY_BYTES * bits.bit_count():
+        return frozenset(_decode(*packed))
+    row_bytes = stride // 8
+    data = bits.to_bytes(span * row_bytes, "little")
+    columns = (data[j :: row_bytes * scale] for j in range(first, last + 1))
+    return ox + 8 * first, oy + top, width, b"".join(columns)
 
 
 class Grid:

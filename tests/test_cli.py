@@ -270,6 +270,26 @@ def test_config_value_of_the_wrong_type_exits_2(tmp_path, capsys, argv, doc, mes
     assert capsys.readouterr().err == f"error: {message}\n"
 
 
+@pytest.mark.parametrize("value, reason", [
+    ("0", "scales must be positive, got 0"),
+    ("-2", "scales must be positive, got -2"),
+    ("2,3", "scales must form an ascending divisibility chain, got 2 then 3"),
+    ("4,2", "scales must form an ascending divisibility chain, got 4 then 2"),
+    ("", "need at least one scale"),
+], ids=["zero", "negative", "not-dividing", "descending", "empty"])
+@pytest.mark.parametrize("source", ["flags", "config"])
+def test_malformed_scales_exit_2_before_the_pattern_is_read(tmp_path, capsys, value, reason,
+                                                           source):
+    argv = ["complexity", "profile", "--pattern", str(tmp_path / "missing.rle")]
+    if source == "flags":
+        argv += ["--seed", "1", f"--scales={value}"]
+    else:
+        (tmp_path / "config.json").write_text(json.dumps({"seed": 1, "scales": value}))
+        argv += ["--config", str(tmp_path / "config.json")]
+    assert execute(argv) == 2
+    assert capsys.readouterr().err == f"error: --scales {value!r}: {reason}\n"
+
+
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
 @pytest.mark.parametrize("flag", ["--r-from", "--r-to", "--r-step"])
 def test_sweep_refuses_a_non_finite_bound_before_the_loop(tmp_path, capsys, flag, value):

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from complexkit import automaton
+from complexkit import automaton, complexity, grid
 from complexkit.automaton import CONWAY_LIFE, RuleSet, run
 from complexkit.complexity import (
     coarse_grain,
@@ -280,3 +280,32 @@ def test_profile_at_a_huge_scale_runs_in_bounded_memory():
     peak = traced_peak(lambda: complexity_profile(run(soup, CONWAY_LIFE, 40),
                                                   [1, 2, 4, 8, 1048576]))
     assert peak < 4 * 2**20
+
+
+def test_profile_of_a_board_run_decodes_only_to_repack(monkeypatch):
+    """Board generations are coarse-grained and counted on their bits: the
+    only decodes are the engine's re-packs, and no ``Grid`` is hashed."""
+    counts = {"decode": 0, "pack": 0}
+    decode, pack = grid._decode, automaton._pack
+
+    def counted_decode(*board):
+        counts["decode"] += 1
+        return decode(*board)
+
+    def counted_pack(cells, margin, sparse):
+        counts["pack"] += 1
+        return pack(cells, margin, sparse)
+
+    def unhashable(self):
+        raise AssertionError("a Grid was hashed")
+
+    monkeypatch.setattr(grid, "_decode", counted_decode)
+    monkeypatch.setattr(complexity, "_decode", counted_decode)
+    monkeypatch.setattr(automaton, "_pack", counted_pack)
+    monkeypatch.setattr(Grid, "__hash__", unhashable)
+    rng = random.Random(80)
+    soup = Grid([(x, y) for y in range(80) for x in range(80) if rng.random() < 0.35])
+    profile = complexity_profile(run(soup, CONWAY_LIFE, 80), [1, 2, 4, 8])
+    repacks = counts["pack"] - 1  # the first pack reads generation 0, a dict grid
+    assert counts["decode"] == repacks < 20
+    assert profile.entries[0].sample_size == 81
