@@ -12,14 +12,16 @@ coarse-grains a generation on its packed layout when it has one (a board
 generation of ``run``, or a dict generation that packs densely enough):
 it lays the bits out again on absolute columns, ORs shifted copies of
 them and keeps every s-th column and row. Each scale starts from the
-previous scale's bits. Once a scale exceeds the layout, or when a
-generation is too sparse to pack, it coarse-grains the few cells left on
-their coordinates. It counts a state by a key that depends only on the
-state's cells (``grid._key``): the bytes of its rows trimmed to its
-bounding box, or, for a set too sparse for that, its coordinates. At
-scale 1, a generation with states above 1 is keyed by its cells and their
-states, so that colours count as they do in ``Grid`` equality; coarser
-scales are two-state.
+previous scale's bits. Once lcm(8, scale), the unit that scale aligns
+the layout to, exceeds the layout, or when a generation is too sparse to
+pack, it coarse-grains the few cells left on their coordinates.
+
+Each state is counted by a key that depends only on its cells
+(``grid._key``): the bytes of its absolute byte columns, trimmed to its
+bounding box, or its coordinates when it is too sparse for that. At
+scale 1, a generation with states above 1 is keyed by its cells and
+their states, so that colours count as they do in ``Grid`` equality;
+coarser scales are two-state.
 """
 
 from __future__ import annotations
@@ -141,7 +143,10 @@ def _state_keys(grid: Grid, scales: Sequence[int]) -> list[Hashable]:
         # generation costs time and memory in proportion to its population.
         cells = grid.cells
         packed = _pack(cells, 0, _SPARSE)
-    fit = [] if packed is None else [s for s in scales if s <= min(packed[1], packed[2])]
+    # A scale fits when its alignment unit does: the aligned layout is then
+    # at most a few times the size of the generation's own.
+    fit = [] if packed is None else [
+        s for s in scales if math.lcm(8, s) <= min(packed[1], packed[2])]
     if fit:
         bits, stride, height, ox, oy = _align(packed, math.lcm(8, fit[-1]))
         for s in fit:
