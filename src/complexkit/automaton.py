@@ -160,6 +160,11 @@ _MARGIN = 8
 # value from 512 to 8192.
 _SPARSE = 1024
 
+# Most generations a run steps on the coordinate set, after a refused
+# pack, before it tries again with no more cells than were refused: a box
+# that shrank returns to the board within this many generations.
+_RETRY = 8
+
 
 def _board_step(bits: int, stride: int, offsets, rule: RuleSet) -> int:
     """The live cells one generation after ``bits``, a packed layout
@@ -230,13 +235,10 @@ def _generations(grid: Grid, rule: RuleSet, generations: int) -> Iterator[Grid]:
     colorless = set(grid.cells.values()) <= {1}
     # A generation too sparse to pack steps on the set. The run then tries
     # to pack again only once its population exceeds the refused one, or
-    # after ``wait`` more generations, a wait that doubles with each
-    # refusal. No more cells than were refused can pass only in a smaller
-    # box, which needs cells on its edge to die, and the wait catches that
-    # case late; a try lists every cell to find the box, which costs more
-    # than the set step of a few gliders.
+    # ``_RETRY`` generations on: no more cells than were refused can pass
+    # only in a smaller box, and a try lists every cell to find the box.
     prev, packed, ring = grid, None, 0
-    refused, retry, wait = -1, 0, 1
+    refused, retry = -1, 0
     for t in range(generations):
         # Re-pack when there is no layout or a cell has reached its ring. A
         # packed ``prev`` decodes here, once, and only to re-pack or to step
@@ -246,9 +248,9 @@ def _generations(grid: Grid, rule: RuleSet, generations: int) -> Iterator[Grid]:
             if packed is not None or prev.population > refused or t >= retry:
                 packed = _pack(prev.cells, _MARGIN, _SPARSE)
                 if packed is None:
-                    refused, retry, wait = prev.population, t + wait, 2 * wait
+                    refused, retry = prev.population, t + _RETRY
                 else:
-                    ring, wait = _ring(packed[1], packed[2]), 1
+                    ring = _ring(packed[1], packed[2])
         if packed is None:
             store = dict.fromkeys(_set_step(prev.cells, rule, offsets), 1)
         else:

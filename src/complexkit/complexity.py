@@ -8,13 +8,13 @@ a chain of nested scales.
 
 Blocks are anchored at absolute (0, 0): the block of cell (x, y) at scale
 s is (x // s, y // s), wherever the pattern sits. ``complexity_profile``
-coarse-grains a generation on its packed layout when it has one (a board
-generation of ``run``, or a dict generation that packs densely enough):
-it lays the bits out again on absolute columns, ORs shifted copies of
-them and keeps every s-th column and row. Each scale starts from the
-previous scale's bits. Once lcm(8, scale), the unit that scale aligns
-the layout to, exceeds the layout, or when a generation is too sparse to
-pack, it coarse-grains the few cells left on their coordinates.
+coarse-grains a board generation of ``run`` on its packed layout: it lays
+the bits out again on absolute columns, ORs shifted copies of them and
+keeps every s-th column and row. Each scale starts from the previous
+scale's bits. Once lcm(8, scale), the unit that scale aligns the layout
+to, exceeds the layout, it coarse-grains the few cells left on their
+coordinates. A dict generation is coarse-grained on its coordinates at
+every scale, at a cost that follows its population.
 
 Each state is counted by a key that depends only on its cells
 (``grid._key``): the bytes of its absolute byte columns, trimmed to its
@@ -30,8 +30,7 @@ import math
 from dataclasses import dataclass
 from typing import Hashable, Iterable, Sequence
 
-from .automaton import _SPARSE
-from .grid import Grid, Topology, _align, _decode, _key, _pack, _packed_key
+from .grid import Grid, Topology, _align, _decode, _key, _packed_key
 
 
 def info_bits(omega: int) -> float:
@@ -131,18 +130,32 @@ def _anchor_mask(stride: int, height: int, scale: int) -> int:
     return int.from_bytes(rows[: row_bytes * height], "little")
 
 
+def _any_blocks(bits: int, stride: int, height: int, finer: int, scale: int) -> int:
+    """The "any" blocks at ``scale`` of a layout from ``grid._align``, whose
+    unit ``scale`` divides, that holds the blocks at ``finer`` on their
+    top-left cells: each block at ``scale`` on its top-left cell."""
+    # "Any" blocks nest: OR the anchors of the finer scale that share a
+    # block into its top-left cell, along each row and then down each
+    # column, and keep only those cells.
+    m = scale // finer
+    if m == 1:
+        return bits
+    for step in (finer, finer * stride):
+        done = 1
+        while done < m:
+            n = min(done, m - done)
+            bits |= bits >> n * step
+            done += n
+    return bits & _anchor_mask(stride, height, scale)
+
+
 def _state_keys(grid: Grid, scales: Sequence[int]) -> list[Hashable]:
     """The key of ``grid``'s state at each scale (see the module docstring)."""
     if grid.topology is not Topology.SQUARE:
         raise ValueError("coarse graining is defined for square grids only")
     keys: list[Hashable] = []
     finer = 1  # the scale of the last key
-    packed, cells = grid._packed, None
-    if packed is None:
-        # Packed when the engine would step it on its board; a sparser
-        # generation costs time and memory in proportion to its population.
-        cells = grid.cells
-        packed = _pack(cells, 0, _SPARSE)
+    packed = grid._packed
     # A scale fits when its alignment unit does: the aligned layout is then
     # at most a few times the size of the generation's own.
     fit = [] if packed is None else [
@@ -150,25 +163,16 @@ def _state_keys(grid: Grid, scales: Sequence[int]) -> list[Hashable]:
     if fit:
         bits, stride, height, ox, oy = _align(packed, math.lcm(8, fit[-1]))
         for s in fit:
-            # "any" blocks nest: OR the anchors of the finer scale that
-            # share a block into its top-left cell, along each row and then
-            # down each column, and keep only those cells.
-            m = s // finer
-            for step in (finer, finer * stride):
-                done = 1
-                while done < m:
-                    n = min(done, m - done)
-                    bits |= bits >> n * step
-                    done += n
-            if m > 1:
-                bits &= _anchor_mask(stride, height, s)
+            bits = _any_blocks(bits, stride, height, finer, s)
             keys.append(_packed_key((bits, stride, height, ox, oy), s))
             finer = s
         if len(keys) < len(scales):
             anchors = _decode(bits, stride, height, ox, oy)
             cells = [(x // finer, y // finer) for x, y in anchors]
-    elif cells is None:
+    elif packed is not None:
         cells = _decode(*packed)
+    else:
+        cells = grid.cells
     # The scales left, on the coordinates of the blocks at scale ``finer``.
     for s in scales[len(keys):]:
         m = s // finer
@@ -176,7 +180,7 @@ def _state_keys(grid: Grid, scales: Sequence[int]) -> list[Hashable]:
             cells = {(x // m, y // m) for x, y in cells}
         keys.append(_key(cells, s))
         finer = s
-    if scales[0] == 1 and grid._packed is None and max(grid.cells.values(), default=1) > 1:
+    if scales[0] == 1 and packed is None and max(grid.cells.values(), default=1) > 1:
         keys[0] = frozenset(grid.cells.items())
     return keys
 

@@ -302,6 +302,18 @@ def test_gliders_flying_apart_move_from_the_board_to_the_set():
     assert ran["board"] + len(ran["set"]) == 600
 
 
+def test_a_run_whose_box_shrinks_returns_to_the_board_within_the_retry_bound():
+    """A diehard far from a blinker keeps the run on the set while it lives,
+    and dies out at generation 130, leaving fewer cells than any refused
+    pack in a box that now fits the board."""
+    diehard = Grid([(6, 0), (0, 1), (1, 1), (1, 2), (5, 2), (6, 2), (7, 2)])
+    g = Grid(set(BLINKER.cells) | set(diehard.translate((3000, 3000)).cells))
+    history = list(run(g, CONWAY_LIFE, 300))
+    assert [h.population for h in history[130:]] == [3] * 171
+    assert all(h._packed is None for h in history[1:130])
+    assert all(h._packed is not None for h in history[130 + automaton._RETRY:])
+
+
 def test_a_run_read_for_its_population_decodes_only_to_repack(monkeypatch):
     counts = {"decode": 0, "pack": 0}
     decode, pack = grid._decode, automaton._pack

@@ -259,6 +259,51 @@ def test_profile_matches_the_reference_on_fixed_histories(make_history, scales):
     assert_matches_reference(make_history, scales)
 
 
+def key_pairs(cells, scales):
+    """At each scale, the key of the blocks of ``cells`` from their
+    coordinates and the key read off the bits of their packed layout,
+    coarse-grained as ``complexity_profile`` does it."""
+    bits, stride, height, ox, oy = grid._align(grid._pack(cells, 0, 10**9),
+                                               math.lcm(8, scales[-1]))
+    finer, pairs = 1, []
+    for s in scales:
+        bits = complexity._any_blocks(bits, stride, height, finer, s)
+        pairs.append((grid._key({(x // s, y // s) for x, y in cells}, s),
+                      grid._packed_key((bits, stride, height, ox, oy), s)))
+        finer = s
+    return pairs
+
+
+@st.composite
+def cell_sets(draw):
+    """Cells in a box anywhere near the origin, packed close together or
+    spread out."""
+    ox, oy = draw(st.integers(-100, 50)), draw(st.integers(-100, 50))
+    span = draw(st.sampled_from([3, 8, 30, 300]))
+    coords = st.tuples(st.integers(ox, ox + span), st.integers(oy, oy + span))
+    return draw(st.sets(coords, min_size=1, max_size=40))
+
+
+@settings(max_examples=300, deadline=None)
+@given(cells=cell_sets(), scales=st.sampled_from([[1, 2, 4, 8], [1, 3, 9]]))
+def test_packed_and_coordinate_keys_agree(cells, scales):
+    for by_coordinates, by_bits in key_pairs(cells, scales):
+        assert by_coordinates == by_bits
+
+
+@pytest.mark.parametrize("cells, scales, forms", [
+    ({(x, y) for x in range(-9, 7) for y in range(-5, 3) if (x + y) % 3}, [1, 3, 9], [tuple] * 3),
+    ({(-150, -7), (0, 0), (149, 60)}, [1, 3, 9], [frozenset] * 3),
+    # 3 byte columns by 42 and 43 rows, either side of 64 bytes a cell.
+    ({(0, 0), (16, 41)}, [1], [tuple]),
+    ({(0, 0), (16, 42)}, [1], [frozenset]),
+], ids=["dense", "sparse", "dense-at-the-bound", "sparse-past-the-bound"])
+def test_packed_and_coordinate_keys_agree_in_each_form(cells, scales, forms):
+    for (by_coordinates, by_bits), form in zip(key_pairs(cells, scales), forms):
+        assert type(by_coordinates) is type(by_bits) is form
+        assert by_coordinates == by_bits
+
+
 def traced_peak(measure):
     tracemalloc.start()
     try:
