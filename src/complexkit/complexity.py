@@ -131,9 +131,9 @@ def _anchor_mask(stride: int, height: int, scale: int) -> int:
 
 
 def _any_blocks(bits: int, stride: int, height: int, finer: int, scale: int) -> int:
-    """The "any" blocks at ``scale`` of a layout from ``grid._align``, whose
-    unit ``scale`` divides, that holds the blocks at ``finer`` on their
-    top-left cells: each block at ``scale`` on its top-left cell."""
+    """The live "any" blocks at ``scale``, each on its top-left cell, of
+    ``bits``: a layout from ``grid._align`` whose unit ``scale`` divides,
+    holding the live blocks at ``finer`` on their top-left cells."""
     # "Any" blocks nest: OR the anchors of the finer scale that share a
     # block into its top-left cell, along each row and then down each
     # column, and keep only those cells.
