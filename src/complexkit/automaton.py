@@ -10,11 +10,12 @@ history with ``history = list(run(grid, rule, n))``.
 Whether a cell lives never depends on its color, so both engines step
 bare coordinates and each new generation is colored once afterwards:
 survivors keep their color and newborns take the majority color of their
-neighbors. Density picks the engine, generation by generation. A dense
-generation steps on a bit-parallel board (one Python int, neighbor counts
-summed by bit-sliced adders, the technique of Golly's engines); a sparse
-one steps on the coordinate set, whose cost follows the population and
-whose memory stays bounded however far apart its cells are. Both engines
+neighbors. Density picks the engine, generation by generation, from that
+generation alone. A generation that packs (see ``_SPARSE``) steps on a
+bit-parallel board (one Python int, neighbor counts summed by bit-sliced
+adders, the technique of Golly's engines); a sparser one steps on the
+coordinate set, whose cost follows the population and whose memory stays
+bounded however far apart its cells are. Both engines
 read each neighborhood from the grid's ``Topology``, so square and hex
 share one code path.
 
@@ -160,11 +161,6 @@ _MARGIN = 8
 # value from 512 to 8192.
 _SPARSE = 1024
 
-# Most generations a run steps on the coordinate set, after a refused
-# pack, before it tries again with no more cells than were refused: a box
-# that shrank returns to the board within this many generations.
-_RETRY = 8
-
 
 def _board_step(bits: int, stride: int, offsets, rule: RuleSet) -> int:
     """The live cells one generation after ``bits``, a packed layout
@@ -218,12 +214,12 @@ def run(grid: Grid, rule: RuleSet = CONWAY_LIFE, generations: int = 0) -> Iterat
     """Yield generations 0 (``grid`` itself) through ``generations``.
 
     Each generation is computed when the iterator reaches it, so a caller
-    that needs the whole history keeps it with ``list(run(...))``.
+    that needs the whole history keeps it with ``list(run(...))``. The
+    rule is checked against the topology here, for any ``generations``.
     """
     if generations < 0:
         raise ValueError(f"generation count must be >= 0, got {generations}")
-    if generations:
-        _validate_rule(rule, grid.topology)
+    _validate_rule(rule, grid.topology)
     return _generations(grid, rule, generations)
 
 
@@ -233,24 +229,18 @@ def _generations(grid: Grid, rule: RuleSet, generations: int) -> Iterator[Grid]:
     offsets = topology.offsets
     # Newborns of an all-1 grid have only neighbors of color 1.
     colorless = set(grid.cells.values()) <= {1}
-    # A generation too sparse to pack steps on the set. The run then tries
-    # to pack again only once its population exceeds the refused one, or
-    # ``_RETRY`` generations on: no more cells than were refused can pass
-    # only in a smaller box, and a try lists every cell to find the box.
     prev, packed, ring = grid, None, 0
-    refused, retry = -1, 0
-    for t in range(generations):
+    for _ in range(generations):
         # Re-pack when there is no layout or a cell has reached its ring. A
+        # generation too sparse to pack steps on the set, and the next one
+        # tries to pack again, so the engine depends on ``prev`` alone. A
         # packed ``prev`` decodes here, once, and only to re-pack or to step
         # on the set; the keys of ``prev.cells`` are its live cells, with
         # O(1) lookup.
         if packed is None or packed[0] & ring:
-            if packed is not None or prev.population > refused or t >= retry:
-                packed = _pack(prev.cells, _MARGIN, _SPARSE)
-                if packed is None:
-                    refused, retry = prev.population, t + _RETRY
-                else:
-                    ring = _ring(packed[1], packed[2])
+            packed = _pack(prev.cells, _MARGIN, _SPARSE)
+            if packed is not None:
+                ring = _ring(packed[1], packed[2])
         if packed is None:
             store = dict.fromkeys(_set_step(prev.cells, rule, offsets), 1)
         else:
@@ -278,14 +268,11 @@ def classify_pattern(grid: Grid, rule: RuleSet = CONWAY_LIFE, horizon: int = 64)
     generations = run(grid, rule, horizon)
     next(generations)  # generation 0 is the pattern itself
     for k, current in enumerate(generations, start=1):
-        if k == 1 and current == grid:
-            return PatternClass(kind="still-life")
+        if current == grid:
+            return PatternClass("still-life") if k == 1 else PatternClass("oscillator", k)
         if current.canonicalize() == start_canon:
-            if current == grid:
-                return PatternClass(kind="oscillator", period=k)
-            # Both boxes exist: an empty grid is a still life at k == 1.
+            # Unequal grids with equal canonical forms differ by a shift.
             cur_box = current.bounding_box()
             d = (cur_box[0][0] - start_box[0][0], cur_box[0][1] - start_box[0][1])
-            if d != (0, 0):
-                return PatternClass(kind="spaceship", period=k, displacement=d)
+            return PatternClass(kind="spaceship", period=k, displacement=d)
     return PatternClass(kind="unresolved")

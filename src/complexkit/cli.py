@@ -149,7 +149,8 @@ def _merge_config(parser: argparse.ArgumentParser, argv: list[str],
     defaults, each checked against its flag's type and choices, so argv
     wins over the config and the config over the declared default. A null
     value is skipped. Keys that are not flags form ``args.scenario`` where
-    the verb has one, and are refused elsewhere."""
+    the verb has one, and are refused elsewhere. Every float flag's value,
+    from argv or config, must be finite."""
     if args.config:
         doc = json.loads(_read_text(args.config, "--config"))
         if not isinstance(doc, dict):
@@ -167,6 +168,9 @@ def _merge_config(parser: argparse.ArgumentParser, argv: list[str],
                                               flag.choices)
         args.command.set_defaults(**defaults)
         args = parser.parse_args(argv)
+    for flag in args.command._actions:
+        if flag.type is float and getattr(args, flag.dest) is not None:
+            checked(flag.option_strings[0], getattr(args, flag.dest), float)
     if args.seed is None:
         raise ScenarioError("an explicit seed is required (flag --seed or config 'seed')")
     return args
@@ -319,8 +323,6 @@ def _cmd_dynamics_sweep(args) -> int:
     path = _csv_path(args)
     if args.r_from is None or args.r_to is None or args.r_step is None:
         raise ScenarioError("sweep needs --r-from, --r-to and --r-step")
-    for dest in ("r_from", "r_to", "r_step"):
-        checked(f"--{dest.replace('_', '-')}", getattr(args, dest), float)
     if args.r_step <= 0:
         raise ValueError("--r-step must be positive")
     rng = random.Random(args.seed)

@@ -17,7 +17,9 @@ population in a separate pass and ranked it twice, built only from the
 public pieces of ``complexkit.evolution``. The profile reference is the
 complexity profile as it was measured on cell dicts: each generation
 coarse-grained by the public ``coarse_grain``, and each observed state
-kept as a ``Grid`` in a per-scale set.
+kept as a ``Grid`` in a per-scale set. The classify reference is
+``classify_pattern`` as it was with a separate still-life check at the
+first generation and a guard against a zero shift.
 """
 
 import logging
@@ -36,7 +38,7 @@ from complexkit.dynamics import (
     Trajectory,
     weighted_index,
 )
-from complexkit.automaton import RuleSet
+from complexkit.automaton import CONWAY_LIFE, PatternClass, RuleSet, run
 from complexkit.complexity import ComplexityProfile, StateCensus, coarse_grain
 from complexkit.evolution import (
     EvaluationError,
@@ -430,3 +432,29 @@ def reference_profile(history, scales):
         StateCensus(omega=len(states), sample_size=sample_size, scale=s)
         for s, states in zip(scales, seen)
     ))
+
+
+def reference_classify(grid: Grid, rule: RuleSet = CONWAY_LIFE, horizon: int = 64) -> PatternClass:
+    """Classify a pattern by stepping up to ``horizon`` generations.
+
+    Matches are modulo translation only. A pattern that returns to itself
+    after one step is a still life, never a period-1 oscillator.
+    """
+    if horizon < 1:
+        raise ValueError(f"horizon must be >= 1, got {horizon}")
+    start_canon = grid.canonicalize()
+    start_box = grid.bounding_box()
+    generations = run(grid, rule, horizon)
+    next(generations)  # generation 0 is the pattern itself
+    for k, current in enumerate(generations, start=1):
+        if k == 1 and current == grid:
+            return PatternClass(kind="still-life")
+        if current.canonicalize() == start_canon:
+            if current == grid:
+                return PatternClass(kind="oscillator", period=k)
+            # Both boxes exist: an empty grid is a still life at k == 1.
+            cur_box = current.bounding_box()
+            d = (cur_box[0][0] - start_box[0][0], cur_box[0][1] - start_box[0][1])
+            if d != (0, 0):
+                return PatternClass(kind="spaceship", period=k, displacement=d)
+    return PatternClass(kind="unresolved")

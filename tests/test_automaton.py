@@ -10,7 +10,7 @@ from complexkit import automaton, grid
 from complexkit.automaton import CONWAY_LIFE, RuleError, RuleSet, classify_pattern, run, step
 from complexkit.grid import Grid, Topology
 
-from oracles import HEX, MOORE, colour_run, dense_run
+from oracles import HEX, MOORE, colour_run, dense_run, reference_classify
 
 BLINKER = Grid([(0, -1), (0, 0), (0, 1)])
 BLOCK = Grid([(0, 0), (0, 1), (1, 0), (1, 1)])
@@ -47,6 +47,12 @@ def test_step_rejects_count_above_degree():
     rule = RuleSet(birth=frozenset({7}), survival=frozenset({2}))
     with pytest.raises(RuleError):
         step(hex_grid, rule)
+
+
+def test_run_rejects_count_above_degree_for_zero_generations():
+    hex_grid = Grid([(0, 0)], topology=Topology.HEX)
+    with pytest.raises(RuleError):
+        run(hex_grid, RuleSet(birth=frozenset({7}), survival=frozenset({2})), 0)
 
 
 def test_blinker_flips():
@@ -115,6 +121,31 @@ def test_classify_unresolved():
 
 def test_classify_empty_is_still_life():
     assert classify_pattern(Grid()).kind == "still-life"
+
+
+@settings(max_examples=200, deadline=None)
+@given(topology=st.sampled_from(list(Topology)), states=st.sampled_from([2, 3]),
+       horizon=st.integers(1, 40), data=st.data())
+def test_classify_matches_the_reference(topology, states, horizon, data):
+    if topology is Topology.SQUARE and data.draw(st.booleans(), label="life pattern"):
+        # Random rules and cells seldom oscillate or move; these do.
+        rule = RuleSet.parse(data.draw(st.sampled_from(["B3/S23", "B36/S23"])), states)
+        shape = data.draw(st.sampled_from([BLINKER, BLOCK, GLIDER, LWSS]), label="shape")
+        g = Grid(dict.fromkeys(shape.cells, states - 1))
+    else:
+        degree = topology.degree
+        rule = RuleSet(
+            data.draw(st.frozensets(st.integers(1, degree)), label="birth"),
+            data.draw(st.frozensets(st.integers(0, degree)), label="survival"),
+            states=states,
+        )
+        cells = data.draw(
+            st.dictionaries(st.tuples(st.integers(-3, 3), st.integers(-3, 3)),
+                            st.integers(1, states - 1), max_size=12),
+            label="cells",
+        )
+        g = Grid(cells, topology=topology)
+    assert classify_pattern(g, rule, horizon) == reference_classify(g, rule, horizon)
 
 
 def test_translation_equivariance_randomized():
@@ -302,16 +333,51 @@ def test_gliders_flying_apart_move_from_the_board_to_the_set():
     assert ran["board"] + len(ran["set"]) == 600
 
 
-def test_a_run_whose_box_shrinks_returns_to_the_board_within_the_retry_bound():
-    """A diehard far from a blinker keeps the run on the set while it lives,
-    and dies out at generation 130, leaving fewer cells than any refused
-    pack in a box that now fits the board."""
+def diehard_and_blinker():
+    """A diehard far from a blinker: too spread to pack until the diehard
+    dies out at generation 130, leaving fewer cells than any earlier
+    generation in a box that fits the board."""
     diehard = Grid([(6, 0), (0, 1), (1, 1), (1, 2), (5, 2), (6, 2), (7, 2)])
-    g = Grid(set(BLINKER.cells) | set(diehard.translate((3000, 3000)).cells))
-    history = list(run(g, CONWAY_LIFE, 300))
+    return Grid(set(BLINKER.cells) | set(diehard.translate((3000, 3000)).cells))
+
+
+def test_a_run_whose_box_shrinks_returns_to_the_board_the_next_generation():
+    history = list(run(diehard_and_blinker(), CONWAY_LIFE, 300))
     assert [h.population for h in history[130:]] == [3] * 171
-    assert all(h._packed is None for h in history[1:130])
-    assert all(h._packed is not None for h in history[130 + automaton._RETRY:])
+    assert all(h._packed is None for h in history[1:131])
+    assert all(h._packed is not None for h in history[131:])
+
+
+def assert_steps_on_the_board_whenever_it_packs(history):
+    """A two-state generation held as a dict is followed by a board
+    generation exactly when it packs: the choice depends on nothing but
+    that generation."""
+    for t, (before, after) in enumerate(zip(history, history[1:])):
+        if before._packed is None:
+            packs = grid._pack(before.cells, automaton._MARGIN, automaton._SPARSE) is not None
+            assert (after._packed is not None) == packs, t
+
+
+def test_the_diehard_run_steps_on_the_board_whenever_it_packs():
+    assert_steps_on_the_board_whenever_it_packs(list(run(diehard_and_blinker(), CONWAY_LIFE, 300)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    topology=st.sampled_from(list(Topology)),
+    sparse=st.sampled_from([1, 4, 16, 64]),
+    generations=st.integers(0, 120),
+    data=st.data(),
+)
+def test_a_two_state_run_steps_on_the_board_whenever_it_packs(topology, sparse, generations, data):
+    g, rule = coloured_cases(data, topology)
+    history = []
+    with engines(sparse):
+        for h in run(Grid(set(g.cells), topology), RuleSet(rule.birth, rule.survival), generations):
+            history.append(h)
+            if h.population > 1000:  # a rule that fills the plane: stop before it is slow
+                break
+        assert_steps_on_the_board_whenever_it_packs(history)
 
 
 def test_a_run_read_for_its_population_decodes_only_to_repack(monkeypatch):

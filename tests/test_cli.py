@@ -303,6 +303,39 @@ def test_sweep_refuses_a_non_finite_bound_before_the_loop(tmp_path, capsys, flag
     assert not out.exists()
 
 
+# A runnable call of each verb with float flags, and those flags.
+FLOAT_FLAGS = {
+    "dynamics lyapunov": (["--steps", "10", "--burnin", "0"], ["--r", "--x0"]),
+    "dynamics sweep": (["--r-from", "2.5", "--r-to", "3.0", "--r-step", "0.25", "--steps", "10",
+                        "--burnin", "0"], ["--r-from", "--r-to", "--r-step", "--x0"]),
+    "ga run": (["--gens", "1", "--pop", "4", "--length", "4"], ["--mut", "--cx"]),
+}
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e400"])
+@pytest.mark.parametrize("verb, flag", [
+    (verb, flag) for verb, (_, flags) in FLOAT_FLAGS.items() for flag in flags
+])
+def test_every_float_flag_from_argv_must_be_finite(capsys, verb, flag, value):
+    base, _ = FLOAT_FLAGS[verb]
+    # "--flag=-inf": argparse reads a bare "-inf" as an option.
+    assert execute([*verb.split(), *base, "--seed", "1", f"{flag}={value}"]) == 2
+    assert capsys.readouterr().err == (
+        f"error: {flag} must be a finite number, got {float(value)!r}\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ["life", "run", "--gens", "0", "--out", "final.rle"],
+    ["complexity", "profile", "--gens", "0"],
+], ids=["life-run", "complexity-profile"])
+def test_a_rule_above_the_degree_exits_1_at_zero_generations(tmp_path, glider_file, capsys, argv):
+    argv = [arg if arg != "final.rle" else str(tmp_path / arg) for arg in argv]
+    code = execute([*argv, "--pattern", str(glider_file), "--rule", "B9/S", "--seed", "1"])
+    assert code == 1
+    assert capsys.readouterr().err == "error: neighbor count 9 exceeds square degree 8\n"
+    assert not (tmp_path / "final.rle").exists()
+
+
 @pytest.mark.parametrize("verb, flag", [
     (["life", "classify", "--pattern", "glider.rle"], "--out"),
     (["life", "classify", "--pattern", "glider.rle"], "--metrics"),
