@@ -15,9 +15,9 @@ generation alone. A generation that packs (see ``_SPARSE``) steps on a
 bit-parallel board (one Python int, neighbor counts summed by bit-sliced
 adders, the technique of Golly's engines); a sparser one steps on the
 coordinate set, whose cost follows the population and whose memory stays
-bounded however far apart its cells are. Both engines
-read each neighborhood from the grid's ``Topology``, so square and hex
-share one code path.
+bounded however far apart its cells are. Both engines read each
+neighborhood from the grid's ``Topology``, so square and hex share one
+code path.
 
 The packed layout belongs to ``grid``: ``grid._pack`` builds it and
 ``grid._ring`` masks its edge cells. This module steps the bits and

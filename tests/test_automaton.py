@@ -344,7 +344,7 @@ def diehard_and_blinker():
 def test_a_run_whose_box_shrinks_returns_to_the_board_the_next_generation():
     history = list(run(diehard_and_blinker(), CONWAY_LIFE, 300))
     assert [h.population for h in history[130:]] == [3] * 171
-    assert all(h._packed is None for h in history[1:131])
+    assert all(h._packed is None for h in history[1:130])
     assert all(h._packed is not None for h in history[131:])
 
 
