@@ -21,13 +21,22 @@ not depend on the order in which agents are visited. Draw ``j`` is
 ``z = mix(counter + (j + 1) * 0x9E3779B97F4A7C15)``: draw 0 picks the
 rule through ``u = (z >> 11) * 2**-53``, and draw 1 the move as
 ``moves[(z * len(moves)) >> 64]``, whose bias is at most
-``len(moves) / 2**64``, with no rejection loop.
+``len(moves) / 2**64``, with no rejection loop. The engine makes each
+tick's draws for all agents in one pass over a big int holding one
+128-bit lane per agent and draw (``_lanes``); they are the numbers the
+scalar ``_draw(_counter(seed, time, id), j)`` gives.
+
+An agent's history repeats one event tuple while a rule's non-zero float
+response stays the same, so ``Agent.memory`` may hold one tuple object
+many times; its values, types and signs are those of each call's
+response.
 """
 
 from __future__ import annotations
 
 import math
 import random
+import struct
 from dataclasses import dataclass, field, replace
 from itertools import islice
 from typing import Callable, Mapping, Sequence
@@ -188,14 +197,15 @@ def reinforce(agent: Agent, rule_index: int, reward: float) -> Agent:
 
 _GAMMA = 0x9E3779B97F4A7C15  # SplitMix64's increment: 2**64 over the golden ratio, odd
 _SPREAD = 0xD1B54A32D192ED03  # odd, so (time, id) -> counter stays injective mod 2**64
+_MIX1, _MIX2 = 0xBF58476D1CE4E5B9, 0x94D049BB133111EB  # Mix13's multipliers
 _MASK = (1 << 64) - 1
 _UNIT = 2.0 ** -53
 
 
 def _mix64(z: int) -> int:
     """SplitMix64's finaliser (Stafford's Mix13), a bijection on 64-bit ints."""
-    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK
-    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK
+    z = ((z ^ (z >> 30)) * _MIX1) & _MASK
+    z = ((z ^ (z >> 27)) * _MIX2) & _MASK
     return z ^ (z >> 31)
 
 
@@ -210,6 +220,28 @@ def _draw(counter: int, j: int) -> int:
     """Draw ``j`` of a counter's stream: the (j+1)-th SplitMix64 output
     from state ``counter``."""
     return _mix64((counter + (j + 1) * _GAMMA) & _MASK)
+
+
+def _lanes(ids: Sequence[int], js: Sequence[int]) -> Callable[[int], tuple[int, ...]]:
+    """Each draw ``j`` in ``js`` (outer) of each agent in ``ids`` (inner) at
+    one tick, from that tick's ``_counter(seed, time, 0)``: ``_draw``'s
+    arithmetic on one big int with a 128-bit lane per value. A lane's
+    upper half gives the 64x64-bit products room, and the right shifts
+    pull a neighbour's bits only into the upper half, which the lane mask
+    clears before each multiply and the unpacking skips."""
+    layout = struct.Struct("<" + "Q8x" * (len(ids) * len(js)))
+    start = int.from_bytes(layout.pack(*[(a * _SPREAD + (j + 1) * _GAMMA) & _MASK
+                                         for j in js for a in ids]), "little")
+    ones = int.from_bytes(layout.pack(*[1] * (len(ids) * len(js))), "little")
+    mask = ones * _MASK
+
+    def draws(base: int) -> tuple[int, ...]:
+        z = (start + base * ones) & mask
+        z = ((z ^ (z >> 30)) & mask) * _MIX1 & mask
+        z = ((z ^ (z >> 27)) & mask) * _MIX2 & mask
+        return layout.unpack((z ^ (z >> 31)).to_bytes(layout.size, "little"))
+
+    return draws
 
 
 def _run(env: Environment, ticks: int) -> tuple[Environment, list[float]]:
@@ -231,23 +263,34 @@ def _run(env: Environment, ticks: int) -> tuple[Environment, list[float]]:
     moves = () if space is None else space.topology.offsets
     degree = len(moves)
     positions = [a.attributes.get("position") if moves else None for a in agents]
-    spread = [a_id * _SPREAD for a_id in ids]  # _counter's per-id term
+    adaptive = any(w is not None for w in weights)
+    draws = _lanes(ids, (0,) * adaptive + (1,) * bool(moves))
+    move_at = n * adaptive  # draw 1's lanes follow draw 0's
+    # Each (agent, rule)'s last event with a non-zero float response. The
+    # stimulus is the same every tick, so an equal response is an equal
+    # event; ±0.0 compare equal and NaN equals nothing, so neither is reused.
+    events = [[None] * len(r) for r in rules]
     targets, responses, means = [None] * n, [0.0] * n, []
     by_id = sorted(range(n), key=ids.__getitem__)
     for time in range(env.time, env.time + ticks):
-        base = _counter(env.seed, time, 0)
+        z = draws(_counter(env.seed, time, 0))
         for i in range(n):
-            counter = base + spread[i]  # _counter(env.seed, time, ids[i]) mod 2**64
             w = weights[i]
-            idx = 0 if w is None else _draw_rule(ids[i], w, (_draw(counter, 0) >> 11) * _UNIT)
+            idx = 0 if w is None else _draw_rule(ids[i], w, (z[i] >> 11) * _UNIT)
             memory = memories[i]
             responses[i] = r = rules[i][idx].apply(stimulus, memory)
-            memory.append((stimulus, r))
+            if type(r) is float and r:
+                event = events[i][idx]
+                if event is None or event[1] != r:
+                    event = events[i][idx] = (stimulus, r)
+            else:
+                event = (stimulus, r)
+            memory.append(event)
             if w is not None:
                 w[idx] = _floor(w[idx] + r)
             if positions[i] is not None:
                 x, y = positions[i]
-                dx, dy = moves[(_draw(counter, 1) * degree) >> 64]
+                dx, dy = moves[(z[move_at + i] * degree) >> 64]
                 targets[i] = (x + dx, y + dy)
         claimed = set()
         for i in by_id:

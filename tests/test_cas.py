@@ -17,6 +17,7 @@ from complexkit.cas import (
     Strategy,
     _counter,
     _draw,
+    _lanes,
     double_on_second_rule,
     linear_rule,
     observe,
@@ -347,6 +348,72 @@ def test_counter_is_injective_in_time_and_id(seed):
     assert len(counters) == 64 * len(ids)
     edges = [(0, 0), (0, 2**32 - 1), (2**32 - 1, 0), (2**32 - 1, 2**32 - 1), (1, 0)]
     assert len({_counter(seed, t, a) for t, a in edges}) == len(edges)
+
+
+# The ids at the edges of test_counter_is_injective_in_time_and_id's ranges.
+EDGE_IDS = [0, 1, 4095, 1_000_003 - 2048, 1_000_003, 1_000_003 + 2047, 2**32 - 1]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    seed=st.integers(-2**65, 2**65),
+    time=st.integers(0, 2**32 - 1),
+    ids=st.lists(st.one_of(st.sampled_from(EDGE_IDS), st.integers(0, 2**32 - 1)), max_size=300),
+    js=st.sampled_from([(0,), (1,), (0, 1)]),
+)
+def test_lane_draws_equal_the_scalar_stream(seed, time, ids, js):
+    draws = _lanes(ids, js)(_counter(seed, time, 0))
+    assert list(draws) == [_draw(_counter(seed, time, i), j) for j in js for i in ids]
+
+
+class Tagged(float):
+    """A float subclass: equal to its value, but not of type float."""
+
+
+# Responses by history length: a repeated float, both zeros in turn, an int
+# and a bool next to equal floats, NaN twice and a float subclass.
+RESPONSES = (1.5, 1.5, 0.0, -0.0, -0.0, 0.0, 2, 2.0, 2.0, 2, True, 1.0, 1.0, True,
+             math.nan, math.nan, Tagged(1.5), 1.5, 1.5, Tagged(1.5), -2.5, -2.5)
+
+
+def test_shared_history_events_keep_each_response_exactly():
+    # snapshot compares with ==, which cannot tell 0.0 from -0.0 or 2 from
+    # 2.0, so each memory field is compared by type and repr.
+    cycle = Rule("cycle", lambda s, mem: RESPONSES[len(mem) % len(RESPONSES)])
+    steady = linear_rule(1.5)
+    agents = tuple(
+        Agent(i, "t", Strategy((cycle,)) if i % 2 else Strategy((cycle, steady), (1.0, 1.0)))
+        for i in range(6)
+    )
+    env = Environment((Population("p", agents),), seed=5, params={"stimulus": 1.0})
+    ticks = 3 * len(RESPONSES)
+
+    def fields(run):
+        out, _ = run(env, ticks)
+        return [[tuple((type(v), repr(v)) for v in event) for event in a.memory]
+                for a in sorted(out.agents(), key=lambda a: a.id)]
+
+    assert fields(run_scenario) == fields(agent_run)
+    memory = run_scenario(env, ticks)[0].agents()[1].memory
+    assert memory[0] is memory[1] and memory[7] is memory[8]
+
+
+def test_memory_of_a_long_run_stays_small():
+    # The cas-grid benchmark's shape: 50 fixed and 50 adaptive agents on a
+    # 30x30 grid, run for 2000 ticks.
+    env = build_environment({
+        **SCENARIO, "seed": 13, "grid": {"width": 30, "height": 30},
+        "agent_types": [{**t, "count": 50} for t in SCENARIO["agent_types"]],
+    })
+    tracemalloc.start()
+    try:
+        out, _ = run_scenario(env, 2000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
+    events = {id(event) for a in out.agents() for event in a.memory}
+    assert len(events) <= sum(len(a.strategy.rules) for a in out.agents())
 
 
 @pytest.mark.parametrize("topology", [Topology.SQUARE, Topology.HEX])
