@@ -1,0 +1,62 @@
+"""Checks and helpers that several engines and the CLI share.
+
+This module imports no other ``complexkit`` module, so an engine or the
+CLI can use it without loading another engine. ``scenario`` and the CLI
+read every input value through ``checked``, and refuse bad input with
+``ScenarioError``; ``cas`` and ``dynamics`` draw an index by weight through
+``weighted_index``.
+"""
+
+from __future__ import annotations
+
+import sys
+from typing import Mapping, Sequence
+
+
+class ScenarioError(ValueError):
+    """A one-line input error, which the CLI maps to exit 2: a config key or
+    value, a flag value, a scenario document, or an input file that is not
+    UTF-8 text."""
+
+
+# The Python types each JSON kind admits, and its name in messages. bool is
+# an int subclass and is refused for every kind. An integer passes as a
+# number unconverted, so a CSV echo keeps its text, but it must fit in a
+# float, as must every number: Python's json reads NaN, Infinity and
+# integers of any size.
+_KINDS = {int: (int, "an integer"), float: ((int, float), "a number"), str: (str, "a string"),
+          dict: (Mapping, "an object"), list: ((list, tuple), "a list")}
+
+
+def checked(name: str, value, kind: type, choices=None, low=None):
+    """Return ``value`` if it is a JSON value of ``kind`` (int, float, str,
+    dict or list; a float also finite), is one of ``choices`` (for a dict:
+    has only those keys) and is ``>= low``; otherwise raise a one-line
+    ScenarioError naming ``name``."""
+    types, expected = _KINDS[kind]
+    if isinstance(value, bool) or not isinstance(value, types):
+        raise ScenarioError(f"{name} must be {expected}, got {type(value).__name__}")
+    if kind is float and not abs(value) <= sys.float_info.max:  # NaN fails too
+        raise ScenarioError(f"{name} must be a finite number, got {value!r}")
+    if kind is dict and choices is not None:
+        for key in value:
+            if key not in choices:
+                raise ScenarioError(f"{name} has unknown key {key!r}")
+    elif choices is not None and value not in choices:
+        raise ScenarioError(f"{name} must be one of {', '.join(choices)}, got {value!r}")
+    if low is not None and value < low:
+        raise ScenarioError(f"{name} must be >= {low}, got {value}")
+    return value
+
+
+def weighted_index(weights: Sequence[float], total: float, u: float) -> int:
+    """Map a uniform ``u`` in [0, 1) to an index with probability
+    proportional to its weight, given the weights' positive ``total``;
+    rounding past the last cumulative weight picks the last index."""
+    u *= total
+    acc = 0.0
+    for i, w in enumerate(weights):
+        acc += w
+        if u < acc:
+            return i
+    return len(weights) - 1

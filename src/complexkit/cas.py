@@ -30,6 +30,10 @@ An agent's history repeats one event tuple while a rule's non-zero float
 response stays the same, so ``Agent.memory`` may hold one tuple object
 many times; its values, types and signs are those of each call's
 response.
+
+The engine uses no other engine: it imports ``grid`` (``Grid`` and the
+``coarse_grain`` of ``observe``) and ``_shared`` (the weighted draw that
+``dynamics`` uses for its branches too).
 """
 
 from __future__ import annotations
@@ -41,9 +45,8 @@ from dataclasses import dataclass, field, replace
 from itertools import islice
 from typing import Callable, Mapping, Sequence
 
-from .complexity import coarse_grain
-from .dynamics import weighted_index
-from .grid import Grid
+from ._shared import weighted_index
+from .grid import Grid, coarse_grain
 
 
 class DegenerateStrategyError(ValueError):
@@ -181,7 +184,13 @@ def _draw_rule(agent_id: int, weights: Sequence[float], u: float) -> int:
 
 def select_rule(agent: Agent, context: float, rng: random.Random) -> int:
     """Fixed strategies always pick rule 0; adaptive strategies draw an index
-    proportionally to their current weights."""
+    proportionally to their current weights, from one ``rng.random()``.
+
+    ``context`` is ignored. The engine (``tick``, ``run_scenario``) does
+    not call this: it draws each agent-tick's rule from that agent-tick's
+    SplitMix64 lane, so this draw does not reproduce the engine's, and an
+    adaptive agent may get another rule here than in the engine.
+    """
     weights = agent.strategy.weights
     return 0 if weights is None else _draw_rule(agent.id, weights, rng.random())
 

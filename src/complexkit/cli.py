@@ -30,6 +30,7 @@ import random
 import sys
 from pathlib import Path
 
+from ._shared import ScenarioError, checked
 from .automaton import CONWAY_LIFE, RuleError, RuleSet, classify_pattern, run
 from .complexity import _check_scales, complexity_profile
 from .coevolve import episode_fitness
@@ -42,7 +43,7 @@ from .patterns import (
     decode_pattern,
     encode_pattern,
 )
-from .scenario import ScenarioError, build_environment, checked, run_scenario
+from .scenario import build_environment, run_scenario
 
 
 _OUTPUT_HELP = {"--out": "primary output path", "--metrics": "metrics CSV path"}
@@ -324,7 +325,7 @@ def _cmd_dynamics_sweep(args) -> int:
     if args.r_from is None or args.r_to is None or args.r_step is None:
         raise ScenarioError("sweep needs --r-from, --r-to and --r-step")
     if args.r_step <= 0:
-        raise ValueError("--r-step must be positive")
+        raise ScenarioError("--r-step must be positive")
     rng = random.Random(args.seed)
     with _csv_out(path) as w:
         w.writerow(["r", "lyapunov"])

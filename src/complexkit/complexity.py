@@ -4,7 +4,8 @@ The amount of information needed to identify a system's state is
 log2 of the number of distinct states observed. Coarse-graining maps
 blocks of fine cells to single coarse cells, realizing larger scales of
 observation; the resulting bits-vs-scale profile never increases along
-a chain of nested scales.
+a chain of nested scales. This module holds the census only: the public
+``coarse_grain`` of one grid lives in ``grid`` and is re-exported here.
 
 Blocks are anchored at absolute (0, 0): the block of cell (x, y) at scale
 s is (x // s, y // s), wherever the pattern sits. ``complexity_profile``
@@ -31,6 +32,7 @@ from dataclasses import dataclass
 from typing import Hashable, Iterable, Sequence
 
 from .grid import Grid, Topology, _align, _decode, _key, _packed_key
+from .grid import coarse_grain  # noqa: F401  bench/tracing.py rebinds complexity.coarse_grain
 
 
 def info_bits(omega: int) -> float:
@@ -45,32 +47,6 @@ def theoretical_bits(num_cells: int, states: int = 2) -> float:
     if num_cells < 0 or states < 1:
         raise ValueError("need num_cells >= 0 and states >= 1")
     return num_cells * math.log2(states)
-
-
-def coarse_grain(grid: Grid, scale: int, rule: str = "any") -> Grid:
-    """Collapse scale x scale blocks (anchored at the origin) to single cells.
-
-    rule "any": a coarse cell is live iff any member is live.
-    rule "majority": live iff live members outnumber dead ones; ties dead.
-    """
-    if grid.topology is not Topology.SQUARE:
-        raise ValueError("coarse graining is defined for square grids only")
-    if scale < 1:
-        raise ValueError(f"scale must be >= 1, got {scale}")
-    if rule not in ("any", "majority"):
-        raise ValueError(f"unknown coarse-graining rule: {rule!r}")
-    if scale == 1:
-        return grid
-    if rule == "any":
-        blocks = {(x // scale, y // scale): 1 for (x, y) in grid.cells}
-        return Grid._trusted(blocks, Topology.SQUARE)
-    counts: dict[tuple[int, int], int] = {}
-    for (x, y) in grid.cells:
-        key = (x // scale, y // scale)
-        counts[key] = counts.get(key, 0) + 1
-    half = scale * scale / 2
-    blocks = {block: 1 for block, n in counts.items() if n > half}
-    return Grid._trusted(blocks, Topology.SQUARE)
 
 
 @dataclass(frozen=True)

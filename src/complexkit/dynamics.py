@@ -20,7 +20,9 @@ import math
 import random
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterator
+
+from ._shared import weighted_index
 
 log = logging.getLogger(__name__)
 
@@ -88,19 +90,6 @@ class Trajectory:
 
     states: tuple[float, ...]
     branch_log: tuple[int, ...]
-
-
-def weighted_index(weights: Sequence[float], total: float, u: float) -> int:
-    """Map a uniform ``u`` in [0, 1) to an index with probability
-    proportional to its weight, given the weights' positive ``total``;
-    rounding past the last cumulative weight picks the last index."""
-    u *= total
-    acc = 0.0
-    for i, w in enumerate(weights):
-        acc += w
-        if u < acc:
-            return i
-    return len(weights) - 1
 
 
 def _branch_stream(m: IterativeMap, rng: random.Random | None) -> Iterator[Step]:

@@ -12,7 +12,9 @@ reads it, ``_ring`` masks its edge cells and ``_align`` lays it out again
 on absolute byte columns. The automaton only steps the bits and decides
 when to re-pack. ``_key`` and ``_packed_key`` give a cell set a hashable
 key that does not depend on how the set is held, for the complexity
-census.
+census. ``coarse_grain`` maps a square grid to the grid of its blocks at
+one scale (``cas.observe`` uses it); the census coarse-grains the packed
+layout itself instead.
 """
 
 from __future__ import annotations
@@ -304,3 +306,29 @@ class Grid:
             return self
         (min_x, min_y), _ = box
         return self.translate((-min_x, -min_y))
+
+
+def coarse_grain(grid: Grid, scale: int, rule: str = "any") -> Grid:
+    """Collapse scale x scale blocks (anchored at the origin) to single cells.
+
+    rule "any": a coarse cell is live iff any member is live.
+    rule "majority": live iff live members outnumber dead ones; ties dead.
+    """
+    if grid.topology is not Topology.SQUARE:
+        raise ValueError("coarse graining is defined for square grids only")
+    if scale < 1:
+        raise ValueError(f"scale must be >= 1, got {scale}")
+    if rule not in ("any", "majority"):
+        raise ValueError(f"unknown coarse-graining rule: {rule!r}")
+    if scale == 1:
+        return grid
+    if rule == "any":
+        blocks = {(x // scale, y // scale): 1 for (x, y) in grid.cells}
+        return Grid._trusted(blocks, Topology.SQUARE)
+    counts: dict[tuple[int, int], int] = {}
+    for (x, y) in grid.cells:
+        key = (x // scale, y // scale)
+        counts[key] = counts.get(key, 0) + 1
+    half = scale * scale / 2
+    blocks = {block: 1 for block, n in counts.items() if n > half}
+    return Grid._trusted(blocks, Topology.SQUARE)

@@ -19,36 +19,25 @@ an optional movement grid, and a mandatory seed:
 
 Agents get consecutive ids in declaration order and, when a grid is
 present, distinct seeded start cells inside it. ``build_environment``
-reads every value through ``checked``, so a value of the wrong JSON kind
-or out of range, and a key the document's level does not know, raise a
-one-line ScenarioError that names it. ``ticks`` is a known key that only
-the CLI reads.
+reads every value through ``_shared.checked``, the check the CLI applies
+to its config values, so a value of the wrong JSON kind or out of range,
+and a key the document's level does not know, raise a one-line
+ScenarioError (defined in ``_shared``, re-exported here) that names it.
+``ticks`` is a known key that only the CLI reads.
 """
 
 from __future__ import annotations
 
 import random
-import sys
 from bisect import bisect_right, insort
 from typing import Mapping
 
+from ._shared import ScenarioError, checked
 from .cas import (Agent, AgentType, Environment, Population, Rule, Strategy, _run,
                   double_on_second_rule, linear_rule)
 from .cas import tick  # noqa: F401  bench/tracing.py rebinds scenario.tick
 from .grid import Grid
 
-
-class ScenarioError(ValueError):
-    """Scenario document is missing or misusing a field."""
-
-
-# The Python types each JSON kind admits, and its name in messages. bool is
-# an int subclass and is refused for every kind. An integer passes as a
-# number unconverted, so a CSV echo keeps its text, but it must fit in a
-# float, as must every number: Python's json reads NaN, Infinity and
-# integers of any size.
-_KINDS = {int: (int, "an integer"), float: ((int, float), "a number"), str: (str, "a string"),
-          dict: (Mapping, "an object"), list: ((list, tuple), "a list")}
 
 # The keys each level may hold. An agent type's keys depend on its strategy
 # and a rule's on its kind, so these tables also list the choices for both.
@@ -56,27 +45,6 @@ _SCENARIO_KEYS = ("seed", "ticks", "stimulus", "grid", "agent_types")
 _TYPE_KEYS = {"fixed": ("name", "count", "strategy", "rule"),
               "adaptive": ("name", "count", "strategy", "rules", "weights")}
 _RULE_KEYS = {"linear": ("kind", "gain"), "double_on_second": ("kind",)}
-
-
-def checked(name: str, value, kind: type, choices=None, low=None):
-    """Return ``value`` if it is a JSON value of ``kind`` (int, float, str,
-    dict or list; a float also finite), is one of ``choices`` (for a dict:
-    has only those keys) and is ``>= low``; otherwise raise a one-line
-    ScenarioError naming ``name``."""
-    types, expected = _KINDS[kind]
-    if isinstance(value, bool) or not isinstance(value, types):
-        raise ScenarioError(f"{name} must be {expected}, got {type(value).__name__}")
-    if kind is float and not abs(value) <= sys.float_info.max:  # NaN fails too
-        raise ScenarioError(f"{name} must be a finite number, got {value!r}")
-    if kind is dict and choices is not None:
-        for key in value:
-            if key not in choices:
-                raise ScenarioError(f"{name} has unknown key {key!r}")
-    elif choices is not None and value not in choices:
-        raise ScenarioError(f"{name} must be one of {', '.join(choices)}, got {value!r}")
-    if low is not None and value < low:
-        raise ScenarioError(f"{name} must be >= {low}, got {value}")
-    return value
 
 
 def _rule(at: str, spec) -> Rule:

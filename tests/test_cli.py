@@ -303,6 +303,22 @@ def test_sweep_refuses_a_non_finite_bound_before_the_loop(tmp_path, capsys, flag
     assert not out.exists()
 
 
+@pytest.mark.parametrize("step", ["0", "-0.5"])
+@pytest.mark.parametrize("source", ["flags", "config"])
+def test_a_sweep_step_that_is_not_positive_exits_2(tmp_path, capsys, step, source):
+    out = tmp_path / "sweep.csv"
+    argv = ["dynamics", "sweep", "--r-from", "2.5", "--r-to", "3.0", "--steps", "10",
+            "--burnin", "0", "--seed", "1", "--out", str(out)]
+    if source == "flags":
+        argv.append(f"--r-step={step}")  # "--flag=-0.5": a bare "-0.5" may read as an option
+    else:
+        (tmp_path / "config.json").write_text(json.dumps({"r-step": json.loads(step)}))
+        argv += ["--config", str(tmp_path / "config.json")]
+    assert execute(argv) == 2
+    assert capsys.readouterr().err == "error: --r-step must be positive\n"
+    assert not out.exists()
+
+
 # A runnable call of each verb with float flags, and those flags.
 FLOAT_FLAGS = {
     "dynamics lyapunov": (["--steps", "10", "--burnin", "0"], ["--r", "--x0"]),

@@ -5,11 +5,13 @@ A rename or removal here either changes the public surface or leaves a
 traced layer unmeasured, so it has to be made on purpose.
 """
 
+import ast
 import importlib
+from pathlib import Path
 from types import ModuleType
 
 import complexkit
-from complexkit import evolution
+from complexkit import _shared, complexity, dynamics, evolution, grid, scenario
 
 PUBLIC_NAMES = {
     "Agent", "AgentType", "Branch", "CONWAY_LIFE", "ComplexityProfile", "Coordinate",
@@ -44,6 +46,69 @@ def test_public_names_are_pinned():
         if not name.startswith("_") and not isinstance(getattr(complexkit, name), ModuleType)
     }
     assert names == PUBLIC_NAMES
+
+
+# The complexkit modules that each module of the package imports. An engine
+# uses another only where it builds on it (``scenario`` on ``cas``,
+# ``coevolve`` on ``cas``, ``evolution`` and ``scenario``); what several
+# share sits in ``grid`` or in the leaf ``_shared``. A static table, because
+# ``complexkit/__init__`` imports every module, so which modules a fresh
+# interpreter has loaded after one import says nothing about that module.
+IMPORTS = {
+    "_shared": set(),
+    "grid": set(),
+    "automaton": {"grid"},
+    "patterns": {"automaton", "grid"},
+    "complexity": {"grid"},
+    "dynamics": {"_shared"},
+    "cas": {"_shared", "grid"},
+    "scenario": {"_shared", "cas", "grid"},
+    "evolution": set(),
+    "coevolve": {"cas", "evolution", "scenario"},
+    "cli": {"_shared", "automaton", "complexity", "coevolve", "dynamics", "evolution", "grid",
+            "patterns", "scenario"},
+    "__init__": {"automaton", "cas", "complexity", "coevolve", "dynamics", "evolution", "grid",
+                 "patterns", "scenario"},
+}
+
+
+def _package_imports(tree: ast.Module) -> set[str]:
+    """The complexkit modules that ``tree`` imports, relatively or not."""
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            module = ".".join(filter(None, ("complexkit" if node.level else "", node.module)))
+            names = [module]
+            if module == "complexkit":  # from . import name
+                names = [f"complexkit.{alias.name}" for alias in node.names]
+        else:
+            continue
+        found |= {name.split(".")[1] for name in names if name.startswith("complexkit.")}
+    return found
+
+
+def test_each_module_imports_only_the_modules_in_its_row():
+    trees = {path.stem: ast.parse(path.read_text(encoding="utf-8"))
+             for path in Path(complexkit.__file__).parent.glob("*.py")}
+    assert {name: _package_imports(tree) for name, tree in trees.items()} == IMPORTS
+
+
+def test_each_shared_helper_is_defined_in_one_module():
+    homes = {"ScenarioError": "_shared", "checked": "_shared", "weighted_index": "_shared",
+             "coarse_grain": "grid"}
+    for path in Path(complexkit.__file__).parent.glob("*.py"):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name in homes:
+                assert homes[node.name] == path.stem, node.name
+
+
+def test_moved_names_are_re_exported_as_one_object():
+    assert complexkit.coarse_grain is complexity.coarse_grain is grid.coarse_grain
+    assert complexkit.ScenarioError is scenario.ScenarioError is _shared.ScenarioError
+    assert dynamics.weighted_index is _shared.weighted_index
 
 
 def test_every_traced_attribute_exists():
