@@ -7,10 +7,16 @@ weight vector reinforced by the reward, which is the response itself (so
 mean reward equals mean response). Ticks are synchronous and two-phase:
 intended actions are computed from the time-t state only, then committed
 with cell conflicts going to the lowest agent id. One engine over
-per-agent lists runs ``tick`` and ``scenario.run_scenario``; it passes
-``Rule.apply`` the agent's history as a read-only sequence, valid only
-during the call (``Agent.memory`` is a tuple). The whole trajectory is a
-pure function of (scenario, seed).
+per-agent lists, ``_run``, runs both ``tick`` and ``run_scenario`` (which
+``scenario`` re-exports); it passes ``Rule.apply`` the agent's history as
+a read-only sequence, valid only during the call (``Agent.memory`` is a
+tuple). The whole trajectory is a pure function of (scenario, seed).
+
+A reinforced weight is floored at zero, so only an infinite response, or
+a finite one that overflows the sum, can make it non-finite. The engine
+raises ValueError in that tick, naming the agent, the rule and the tick,
+before any later draw reads the weight. A fixed agent has no weight, so
+its response, infinite or not, is recorded and averaged as it is.
 
 Random draws come from a counter-based SplitMix64 stream (Steele, Lea &
 Flood 2014), not from a seeded generator. With ``mix`` SplitMix64's
@@ -280,6 +286,7 @@ def _run(env: Environment, ticks: int) -> tuple[Environment, list[float]]:
     # event; ±0.0 compare equal and NaN equals nothing, so neither is reused.
     events = [[None] * len(r) for r in rules]
     targets, responses, means = [None] * n, [0.0] * n, []
+    inf = math.inf
     by_id = sorted(range(n), key=ids.__getitem__)
     for time in range(env.time, env.time + ticks):
         z = draws(_counter(env.seed, time, 0))
@@ -296,7 +303,10 @@ def _run(env: Environment, ticks: int) -> tuple[Environment, list[float]]:
                 event = (stimulus, r)
             memory.append(event)
             if w is not None:
-                w[idx] = _floor(w[idx] + r)
+                w[idx] = weight = _floor(w[idx] + r)
+                if weight == inf:
+                    raise ValueError(f"agent {ids[i]} rule {idx}: reinforced weight overflowed "
+                                     f"to inf in tick {time + 1}")
             if positions[i] is not None:
                 x, y = positions[i]
                 dx, dy = moves[(z[move_at + i] * degree) >> 64]
@@ -329,6 +339,20 @@ def tick(env: Environment) -> Environment:
     moves in ascending id order, giving a contested cell to the lowest id
     (losers stay put)."""
     return _run(env, 1)[0]
+
+
+def run_scenario(env: Environment, ticks: int) -> tuple[Environment, list[dict]]:
+    """Run ``ticks`` synchronous updates, collecting one metrics row per tick:
+    tick number, agent count, mean response, and mean reward (the reward is
+    the response, so the two columns are equal)."""
+    if ticks < 0:
+        raise ValueError("tick count must be >= 0")
+    start, agents = env.time, len(env.agents())
+    env, means = _run(env, ticks)
+    return env, [
+        {"tick": start + k, "agents": agents, "mean_response": mean, "mean_reward": mean}
+        for k, mean in enumerate(means, start=1)
+    ]
 
 
 def observe(env: Environment, frame: Frame) -> Observation:

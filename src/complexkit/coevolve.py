@@ -10,9 +10,9 @@ from __future__ import annotations
 
 from typing import Callable, Sequence
 
-from .cas import Agent, AgentType, Environment, Population, Rule, Strategy, linear_rule
+from .cas import (Agent, AgentType, Environment, Population, Rule, Strategy, linear_rule,
+                  run_scenario)
 from .evolution import Genome
-from .scenario import run_scenario
 
 DEFAULT_RULES: tuple[Rule, ...] = (linear_rule(0.25), linear_rule(2.0))
 

@@ -4,25 +4,16 @@ The amount of information needed to identify a system's state is
 log2 of the number of distinct states observed. Coarse-graining maps
 blocks of fine cells to single coarse cells, realizing larger scales of
 observation; the resulting bits-vs-scale profile never increases along
-a chain of nested scales. This module holds the census only: the public
-``coarse_grain`` of one grid lives in ``grid`` and is re-exported here.
+a chain of nested scales. Blocks are anchored at absolute (0, 0): the
+block of cell (x, y) at scale s is (x // s, y // s), wherever the pattern
+sits.
 
-Blocks are anchored at absolute (0, 0): the block of cell (x, y) at scale
-s is (x // s, y // s), wherever the pattern sits. ``complexity_profile``
-coarse-grains a board generation of ``run`` on its packed layout: it lays
-the bits out again on absolute columns, ORs shifted copies of them and
-keeps every s-th column and row. Each scale starts from the previous
-scale's bits. Once lcm(8, scale), the unit that scale aligns the layout
-to, exceeds the layout, it coarse-grains the few cells left on their
-coordinates. A dict generation is coarse-grained on its coordinates at
-every scale, at a cost that follows its population.
-
-Each state is counted by a key that depends only on its cells
-(``grid._key``): the bytes of its absolute byte columns, trimmed to its
-bounding box, or its coordinates when it is too sparse for that. At
-scale 1, a generation with states above 1 is keyed by its cells and
-their states, so that colours count as they do in ``Grid`` equality;
-coarser scales are two-state.
+This module holds the census only: it checks the scales, counts the
+distinct keys that ``grid._state_keys`` gives each generation at each
+scale, and checks that the bits never increase. How a generation is
+coarse-grained and keyed, on its packed layout or on its coordinates, is
+decided in ``grid``, which owns the layout. The public ``coarse_grain`` of
+one grid lives in ``grid`` too and is re-exported here.
 """
 
 from __future__ import annotations
@@ -31,7 +22,7 @@ import math
 from dataclasses import dataclass
 from typing import Hashable, Iterable, Sequence
 
-from .grid import Grid, Topology, _align, _decode, _key, _packed_key
+from .grid import Grid, _state_keys
 from .grid import coarse_grain  # noqa: F401  bench/tracing.py rebinds complexity.coarse_grain
 
 
@@ -94,71 +85,6 @@ def _check_scales(scales: Sequence[int]) -> None:
                 f"scales must form an ascending divisibility chain, got {prev} then {s}"
             )
         prev = s
-
-
-def _anchor_mask(stride: int, height: int, scale: int) -> int:
-    """The cells at multiples of ``scale`` of a layout from ``grid._align``
-    whose unit ``scale`` divides."""
-    period = math.lcm(8, scale)
-    pattern = sum(1 << x for x in range(0, period, scale)).to_bytes(period // 8, "little")
-    row_bytes = stride // 8
-    rows = (pattern * (stride // period) + bytes(row_bytes * (scale - 1))) * -(-height // scale)
-    return int.from_bytes(rows[: row_bytes * height], "little")
-
-
-def _any_blocks(bits: int, stride: int, height: int, finer: int, scale: int) -> int:
-    """The live "any" blocks at ``scale``, each on its top-left cell, of
-    ``bits``: a layout from ``grid._align`` whose unit ``scale`` divides,
-    holding the live blocks at ``finer`` on their top-left cells."""
-    # "Any" blocks nest: OR the anchors of the finer scale that share a
-    # block into its top-left cell, along each row and then down each
-    # column, and keep only those cells.
-    m = scale // finer
-    if m == 1:
-        return bits
-    for step in (finer, finer * stride):
-        done = 1
-        while done < m:
-            n = min(done, m - done)
-            bits |= bits >> n * step
-            done += n
-    return bits & _anchor_mask(stride, height, scale)
-
-
-def _state_keys(grid: Grid, scales: Sequence[int]) -> list[Hashable]:
-    """The key of ``grid``'s state at each scale (see the module docstring)."""
-    if grid.topology is not Topology.SQUARE:
-        raise ValueError("coarse graining is defined for square grids only")
-    keys: list[Hashable] = []
-    finer = 1  # the scale of the last key
-    packed = grid._packed
-    # A scale fits when its alignment unit does: the aligned layout is then
-    # at most a few times the size of the generation's own.
-    fit = [] if packed is None else [
-        s for s in scales if math.lcm(8, s) <= min(packed[1], packed[2])]
-    if fit:
-        bits, stride, height, ox, oy = _align(packed, math.lcm(8, fit[-1]))
-        for s in fit:
-            bits = _any_blocks(bits, stride, height, finer, s)
-            keys.append(_packed_key((bits, stride, height, ox, oy), s))
-            finer = s
-        if len(keys) < len(scales):
-            anchors = _decode(bits, stride, height, ox, oy)
-            cells = [(x // finer, y // finer) for x, y in anchors]
-    elif packed is not None:
-        cells = _decode(*packed)
-    else:
-        cells = grid.cells
-    # The scales left, on the coordinates of the blocks at scale ``finer``.
-    for s in scales[len(keys):]:
-        m = s // finer
-        if m > 1:
-            cells = {(x // m, y // m) for x, y in cells}
-        keys.append(_key(cells, s))
-        finer = s
-    if scales[0] == 1 and packed is None and max(grid.cells.values(), default=1) > 1:
-        keys[0] = frozenset(grid.cells.items())
-    return keys
 
 
 def complexity_profile(history: Iterable[Grid], scales: Sequence[int]) -> ComplexityProfile:

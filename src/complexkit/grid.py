@@ -5,22 +5,26 @@ It keeps them in a coordinate -> state map, or, for a two-state generation
 that the automaton stepped as bits, as a packed layout: the map is then
 decoded on first read, and the population and truthiness come from the
 bit count without a decode. Square coordinates are (x, y) cell offsets;
-hexagonal coordinates are axial (q, r) pairs on a honeycomb.
+hexagonal coordinates are axial (q, r) pairs on a honeycomb. ``Grid``
+takes each coordinate as exactly two integers (``operator.index``), so a
+float, a string or a longer tuple is refused, not truncated.
 
 This module owns the packed layout: ``_pack`` builds it, ``_decode``
 reads it, ``_ring`` masks its edge cells and ``_align`` lays it out again
 on absolute byte columns. The automaton only steps the bits and decides
 when to re-pack. ``_key`` and ``_packed_key`` give a cell set a hashable
-key that does not depend on how the set is held, for the complexity
-census. ``coarse_grain`` maps a square grid to the grid of its blocks at
-one scale (``cas.observe`` uses it); the census coarse-grains the packed
-layout itself instead.
+key that does not depend on how the set is held, and ``_state_keys``
+gives the complexity census a grid's key at each of its scales, reading a
+packed grid's layout without decoding it. ``coarse_grain`` maps a square
+grid to the grid of its blocks at one scale (``cas.observe`` uses it).
 """
 
 from __future__ import annotations
 
 import enum
-from typing import Collection, Hashable, Iterable, Iterator, Mapping
+import math
+from operator import index
+from typing import Collection, Hashable, Iterable, Iterator, Mapping, Sequence
 
 Coordinate = tuple[int, int]
 
@@ -205,11 +209,94 @@ def _packed_key(packed: _Packed, scale: int) -> Hashable:
     return ox + 8 * first, oy + top, width, b"".join(columns)
 
 
+def _anchor_mask(stride: int, height: int, scale: int) -> int:
+    """The cells at multiples of ``scale`` of a layout from ``_align``
+    whose unit ``scale`` divides."""
+    period = math.lcm(8, scale)
+    pattern = sum(1 << x for x in range(0, period, scale)).to_bytes(period // 8, "little")
+    row_bytes = stride // 8
+    rows = (pattern * (stride // period) + bytes(row_bytes * (scale - 1))) * -(-height // scale)
+    return int.from_bytes(rows[: row_bytes * height], "little")
+
+
+def _any_blocks(bits: int, stride: int, height: int, finer: int, scale: int) -> int:
+    """The live "any" blocks at ``scale``, each on its top-left cell, of
+    ``bits``: a layout from ``_align`` whose unit ``scale`` divides,
+    holding the live blocks at ``finer`` on their top-left cells."""
+    # "Any" blocks nest: OR the anchors of the finer scale that share a
+    # block into its top-left cell, along each row and then down each
+    # column, and keep only those cells.
+    m = scale // finer
+    if m == 1:
+        return bits
+    for step in (finer, finer * stride):
+        done = 1
+        while done < m:
+            n = min(done, m - done)
+            bits |= bits >> n * step
+            done += n
+    return bits & _anchor_mask(stride, height, scale)
+
+
+def _state_keys(grid: Grid, scales: Sequence[int]) -> list[Hashable]:
+    """The key of ``grid``'s state at each scale of ``scales``, an
+    ascending divisibility chain, for the complexity census.
+
+    Blocks are anchored at absolute (0, 0): the block of cell (x, y) at
+    scale s is (x // s, y // s). Each key is ``_key`` of the blocks, so it
+    depends only on the cells and not on how the grid holds them. A packed
+    grid is coarse-grained on its layout: ``_align`` lays the bits out
+    again on absolute columns, ``_any_blocks`` ORs shifted copies of them
+    and keeps every s-th column and row, each scale starting from the
+    previous scale's bits, and ``_packed_key`` reads the key off them. Once
+    lcm(8, scale), the unit that scale aligns the layout to, exceeds the
+    layout, the few cells left are coarse-grained on their coordinates. A
+    dict grid is coarse-grained on its coordinates at every scale, at a
+    cost that follows its population. At scale 1, a grid with states above
+    1 is keyed by its cells and their states, so that colours count as
+    they do in ``Grid`` equality; coarser scales are two-state."""
+    if grid.topology is not Topology.SQUARE:
+        raise ValueError("coarse graining is defined for square grids only")
+    keys: list[Hashable] = []
+    finer = 1  # the scale of the last key
+    packed = grid._packed
+    # A scale fits when its alignment unit does: the aligned layout is then
+    # at most a few times the size of the generation's own.
+    fit = [] if packed is None else [
+        s for s in scales if math.lcm(8, s) <= min(packed[1], packed[2])]
+    if fit:
+        bits, stride, height, ox, oy = _align(packed, math.lcm(8, fit[-1]))
+        for s in fit:
+            bits = _any_blocks(bits, stride, height, finer, s)
+            keys.append(_packed_key((bits, stride, height, ox, oy), s))
+            finer = s
+        if len(keys) < len(scales):
+            anchors = _decode(bits, stride, height, ox, oy)
+            cells = [(x // finer, y // finer) for x, y in anchors]
+    elif packed is not None:
+        cells = _decode(*packed)
+    else:
+        cells = grid.cells
+    # The scales left, on the coordinates of the blocks at scale ``finer``.
+    for s in scales[len(keys):]:
+        m = s // finer
+        if m > 1:
+            cells = {(x // m, y // m) for x, y in cells}
+        keys.append(_key(cells, s))
+        finer = s
+    if scales[0] == 1 and packed is None and max(grid.cells.values(), default=1) > 1:
+        keys[0] = frozenset(grid.cells.items())
+    return keys
+
+
 class Grid:
     """Immutable sparse grid: a finite map from coordinates to live states.
 
     Dead cells (state 0) are never stored. Construction accepts either a
     mapping coordinate -> state or a bare iterable of coordinates (state 1).
+    Each coordinate must unpack to exactly two integers (``int``, ``bool``
+    or any type with ``__index__``, such as numpy integers); anything else
+    raises ValueError naming it.
     """
 
     # A packed grid has ``_packed`` set and ``_cells`` None until first read.
@@ -231,8 +318,14 @@ class Grid:
             for coord, state in items:
                 if not isinstance(state, int) or state < 0:
                     raise ValueError(f"cell state must be a non-negative int, got {state!r}")
+                try:
+                    x, y = coord
+                    key = (index(x), index(y))
+                except (TypeError, ValueError):
+                    raise ValueError(
+                        f"a coordinate must be a pair of ints, got {coord!r}") from None
                 if state != 0:
-                    store[(int(coord[0]), int(coord[1]))] = state
+                    store[key] = state
         self._cells: dict[Coordinate, int] | None = store
         self._packed: _Packed | None = None
 

@@ -24,6 +24,9 @@ to its config values, so a value of the wrong JSON kind or out of range,
 and a key the document's level does not know, raise a one-line
 ScenarioError (defined in ``_shared``, re-exported here) that names it.
 ``ticks`` is a known key that only the CLI reads.
+
+This module only loads configs. Running them is the agent engine's:
+``run_scenario`` and ``tick`` live in ``cas`` and are re-exported here.
 """
 
 from __future__ import annotations
@@ -33,8 +36,9 @@ from bisect import bisect_right, insort
 from typing import Mapping
 
 from ._shared import ScenarioError, checked
-from .cas import (Agent, AgentType, Environment, Population, Rule, Strategy, _run,
+from .cas import (Agent, AgentType, Environment, Population, Rule, Strategy,
                   double_on_second_rule, linear_rule)
+from .cas import run_scenario  # noqa: F401  re-exported: the CLI and the package take it here
 from .cas import tick  # noqa: F401  bench/tracing.py rebinds scenario.tick
 from .grid import Grid
 
@@ -147,17 +151,3 @@ def build_environment(config: Mapping) -> Environment:
         params=params,
         types=tuple(types),
     )
-
-
-def run_scenario(env: Environment, ticks: int) -> tuple[Environment, list[dict]]:
-    """Run ``ticks`` synchronous updates, collecting one metrics row per tick:
-    tick number, agent count, mean response, and mean reward (the reward is
-    the response, so the two columns are equal)."""
-    if ticks < 0:
-        raise ValueError("tick count must be >= 0")
-    start, agents = env.time, len(env.agents())
-    env, means = _run(env, ticks)
-    return env, [
-        {"tick": start + k, "agents": agents, "mean_response": mean, "mean_reward": mean}
-        for k, mean in enumerate(means, start=1)
-    ]

@@ -1,5 +1,6 @@
 import math
 import random
+import re
 import tracemalloc
 
 import pytest
@@ -226,6 +227,15 @@ def test_observe_unknown_attribute_rejected():
         observe(env, Frame(scale=1, projection=frozenset({"velocity"})))
 
 
+def test_observe_without_types_knows_the_agents_attributes():
+    agents = (Agent(0, "t", Strategy((linear_rule(1.0),)), {"position": (1, 2), "hue": 3}),)
+    env = Environment((Population("p", agents),), seed=1)
+    obs = observe(env, Frame(projection=frozenset({"hue"})))
+    assert obs.agents == ((0, "t", (("hue", 3),)),)
+    with pytest.raises(FrameError, match=r"unknown attributes: \['velocity'\]"):
+        observe(env, Frame(projection=frozenset({"velocity"})))
+
+
 def test_observe_scale_matches_coarse_grain():
     env = build_environment(SCENARIO)
     env = tick(env)
@@ -396,6 +406,37 @@ def test_shared_history_events_keep_each_response_exactly():
     assert fields(run_scenario) == fields(agent_run)
     memory = run_scenario(env, ticks)[0].agents()[1].memory
     assert memory[0] is memory[1] and memory[7] is memory[8]
+
+
+@pytest.mark.parametrize("big", [math.inf, 1.5e308], ids=["inf", "finite-sum-overflows"])
+def test_a_weight_that_overflows_raises_in_its_tick_like_the_oracle(big):
+    """Rule 0's response makes its weight infinite at once (inf) or on its
+    second call (1.5e308 twice). The engine raises in that tick, after the
+    same rule calls as the oracle, before any draw reads the weight."""
+    def recorded(calls):
+        def record(response):
+            return lambda s, mem: calls.append(len(mem)) or response
+        rules = (Rule("big", record(big)), Rule("small", record(0.5)))
+        agents = tuple(Agent(i, "t", Strategy(rules, (1.0, 1.0))) for i in range(4))
+        return Environment((Population("p", agents),), seed=3, params={"stimulus": 1.0})
+
+    engine, oracle = [], []
+    with pytest.raises(ValueError) as raised:
+        run_scenario(recorded(engine), 500)
+    with pytest.raises(ValueError, match="weights must be finite"):
+        agent_run(recorded(oracle), 500)
+    assert engine == oracle
+    # Every agent starts with an empty memory, so the last call's history
+    # length is the tick's time, and the tick is numbered as in the metrics.
+    assert re.fullmatch(rf"agent [0-3] rule 0: reinforced weight overflowed to inf "
+                        rf"in tick {engine[-1] + 1}", str(raised.value))
+
+
+def test_fixed_agents_record_an_infinite_response_as_it_is():
+    env = Environment((Population("p", (fixed_agent(0, linear_rule(math.inf)),)),), seed=1)
+    out, metrics = run_scenario(env, 3)
+    assert [row["mean_response"] for row in metrics] == [math.inf] * 3
+    assert out.agents()[0].memory == ((1.0, math.inf),) * 3
 
 
 def test_memory_of_a_long_run_stays_small():

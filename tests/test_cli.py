@@ -229,9 +229,12 @@ def test_cas_scenario_section_of_the_wrong_type_exits_2(tmp_path, capsys, sectio
      "scenario agent_types[0] has unknown key 'weights'"),
     ({"name": "a", "strategy": "adaptive", "rules": [{"kind": "double_on_second", "gain": 2}]},
      "scenario agent_types[0].rules[0] has unknown key 'gain'"),
+    ({"count": 1, "rule": {"kind": "linear"}}, "every agent type needs a name"),
+    ({"name": "a"}, "fixed type 'a' needs a 'rule'"),
+    ({"name": "a", "strategy": "adaptive"}, "adaptive type 'a' needs 'rules'"),
 ], ids=["rule", "weights", "weight", "rules-item", "count", "gain", "kind", "count-float",
         "count-range", "gain-str", "name", "strategy-choice", "kind-choice", "type-key",
-        "fixed-weights", "rule-key"])
+        "fixed-weights", "rule-key", "no-name", "fixed-no-rule", "adaptive-no-rules"])
 def test_cas_nested_field_of_the_wrong_type_exits_2(tmp_path, capsys, agent_type, message):
     config = tmp_path / "scenario.json"
     config.write_text(json.dumps({"seed": 1, "agent_types": [agent_type]}))
@@ -317,6 +320,75 @@ def test_a_sweep_step_that_is_not_positive_exits_2(tmp_path, capsys, step, sourc
     assert execute(argv) == 2
     assert capsys.readouterr().err == "error: --r-step must be positive\n"
     assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, pattern, message", [
+    (["life", "run"], None, "a --pattern file is required"),
+    (["cas", "run"], None, "cas run needs a scenario --config file"),
+    (["dynamics", "sweep", "--r-from", "2.5", "--r-to", "3.0"], None,
+     "sweep needs --r-from, --r-to and --r-step"),
+    (["life", "run", "--pattern", "p.rle"], "x = 2, y = 1\n1 2o!",
+     "line 2, column 2: run count split by whitespace"),
+    (["life", "run", "--pattern", "p.rle"], "#C only a comment\n",
+     "line 2, column 1: missing '!' terminator"),
+], ids=["no-pattern", "no-config", "sweep-no-step", "rle-split-count", "rle-no-terminator"])
+def test_a_missing_or_malformed_input_exits_2(tmp_path, capsys, monkeypatch, argv, pattern,
+                                              message):
+    monkeypatch.chdir(tmp_path)
+    if pattern is not None:
+        (tmp_path / "p.rle").write_text(pattern)
+    assert execute([*argv, "--seed", "1"]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["life", "run", "--pattern", "glider.rle", "--gens", "-1", "--out", "out.rle"],
+     "generation count must be >= 0, got -1"),
+    (["life", "classify", "--pattern", "glider.rle", "--horizon", "0"],
+     "horizon must be >= 1, got 0"),
+    (["ga", "run", "--gens", "-1", "--metrics", "out.csv"], "generations must be >= 0"),
+    (["cas", "run", "--config", "scenario.json", "--ticks", "-1", "--metrics", "out.csv"],
+     "tick count must be >= 0"),
+], ids=["life-gens", "classify-horizon", "ga-gens", "cas-ticks"])
+def test_a_run_length_out_of_range_exits_1_and_writes_nothing(tmp_path, capsys, monkeypatch,
+                                                              argv, message):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "glider.rle").write_text(GLIDER_RLE)
+    (tmp_path / "scenario.json").write_text(json.dumps(SCENARIO))
+    assert execute([*argv, "--seed", "1"]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["glider.rle", "scenario.json"]
+
+
+@pytest.mark.parametrize("text", [
+    "x = 3, y = 3, rule = B3/S23\r\nbob$2bo$\r\n3o!\r\n",
+    "x = 3, y = 3, rule = B3/S23\nb o b $ 2b o $ 3o !",
+], ids=["crlf", "spaced-runs"])
+def test_rle_with_crlf_or_spaced_runs_runs_like_the_plain_file(tmp_path, glider_file, text):
+    odd = tmp_path / "odd.rle"
+    odd.write_bytes(text.encode())
+    outs = []
+    for pattern in (glider_file, odd):
+        out = tmp_path / f"{pattern.stem}-final.rle"
+        assert execute(["life", "run", "--pattern", str(pattern), "--gens", "4", "--seed", "1",
+                        "--out", str(out)]) == 0
+        outs.append(out.read_bytes())
+    assert outs[0] == outs[1]
+
+
+def test_cas_weight_overflow_exits_1_in_its_tick_without_metrics(tmp_path, capsys):
+    # Every value is finite, but agent 1's first draw, rule 0, answers
+    # 1e200 * 1e200 = inf.
+    config = tmp_path / "scenario.json"
+    config.write_text(json.dumps({"seed": 1, "stimulus": 1e200, "agent_types": [
+        {"name": "a", "count": 2, "strategy": "adaptive",
+         "rules": [{"kind": "linear", "gain": 1e200}, {"kind": "linear", "gain": 1.0}]}]}))
+    metrics = tmp_path / "m.csv"
+    assert execute(["cas", "run", "--config", str(config), "--ticks", "3",
+                    "--metrics", str(metrics)]) == 1
+    assert capsys.readouterr().err == (
+        "error: agent 1 rule 0: reinforced weight overflowed to inf in tick 1\n")
+    assert not metrics.exists()
 
 
 # A runnable call of each verb with float flags, and those flags.

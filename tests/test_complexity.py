@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from complexkit import automaton, complexity, grid
+from complexkit import automaton, grid
 from complexkit.automaton import CONWAY_LIFE, RuleSet, run
 from complexkit.complexity import (
     coarse_grain,
@@ -267,7 +267,7 @@ def key_pairs(cells, scales):
                                                math.lcm(8, scales[-1]))
     finer, pairs = 1, []
     for s in scales:
-        bits = complexity._any_blocks(bits, stride, height, finer, s)
+        bits = grid._any_blocks(bits, stride, height, finer, s)
         pairs.append((grid._key({(x // s, y // s) for x, y in cells}, s),
                       grid._packed_key((bits, stride, height, ox, oy), s)))
         finer = s
@@ -345,7 +345,6 @@ def test_profile_of_a_board_run_decodes_only_to_repack(monkeypatch):
         raise AssertionError("a Grid was hashed")
 
     monkeypatch.setattr(grid, "_decode", counted_decode)
-    monkeypatch.setattr(complexity, "_decode", counted_decode)
     monkeypatch.setattr(automaton, "_pack", counted_pack)
     monkeypatch.setattr(Grid, "__hash__", unhashable)
     rng = random.Random(80)

@@ -160,6 +160,20 @@ def test_two_trajectory_rejects_nonfinite_start():
         divergence_rate_two_trajectory(logistic_map(4.0), float("nan"), 1000)
 
 
+def test_two_trajectory_floors_a_zero_separation():
+    # A constant map merges the two trajectories at every step.
+    constant = IterativeMap((Branch(lambda x: 0.5, lambda x: 0.0),))
+    lam = divergence_rate_two_trajectory(constant, 0.3, 5, burn_in=0)
+    assert lam == math.log(1e-300) == pytest.approx(-690.78, abs=0.01)
+
+
+def test_two_trajectory_reports_the_step_that_diverges():
+    blowup = IterativeMap((Branch(lambda x: x * 1e200, lambda x: 1e200),))
+    with pytest.raises(DivergenceError) as exc:
+        divergence_rate_two_trajectory(blowup, 1.0, 10, burn_in=0)
+    assert exc.value.step == 2
+
+
 def _branch(kind: str, a: float, p: float) -> Branch:
     if kind == "logistic":
         return Branch(lambda x: a * x * (1.0 - x), lambda x: a * (1.0 - 2.0 * x), p)

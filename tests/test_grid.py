@@ -55,6 +55,27 @@ def test_sparsity_dead_cells_never_stored():
     assert g.state((1, 1)) == 0
 
 
+@pytest.mark.parametrize("cells, coord", [
+    ({(0.5, 0): 1, (0.9, 0): 2}, (0.5, 0)),
+    ([(1.7, 0)], (1.7, 0)),
+    ([("3", 4)], ("3", 4)),
+    ([(1, 2, 3)], (1, 2, 3)),
+    ([(1,)], (1,)),
+    ([7], 7),
+], ids=["floats-that-would-merge", "float", "string", "triple", "single", "not-a-pair"])
+def test_a_coordinate_that_is_not_two_ints_is_refused(cells, coord):
+    with pytest.raises(ValueError) as exc:
+        Grid(cells)
+    assert str(exc.value) == f"a coordinate must be a pair of ints, got {coord!r}"
+
+
+def test_integer_like_coordinates_are_kept_as_ints():
+    np = pytest.importorskip("numpy")
+    g = Grid([(np.int64(3), np.int32(-4)), (True, False), [5, 6]])
+    assert g.cells == {(3, -4): 1, (1, 0): 1, (5, 6): 1}
+    assert all(type(v) is int for coord in g.cells for v in coord)
+
+
 def test_negative_state_rejected():
     with pytest.raises(ValueError):
         Grid({(0, 0): -1})

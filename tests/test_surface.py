@@ -11,7 +11,7 @@ from pathlib import Path
 from types import ModuleType
 
 import complexkit
-from complexkit import _shared, complexity, dynamics, evolution, grid, scenario
+from complexkit import _shared, cas, complexity, dynamics, evolution, grid, scenario
 
 PUBLIC_NAMES = {
     "Agent", "AgentType", "Branch", "CONWAY_LIFE", "ComplexityProfile", "Coordinate",
@@ -50,7 +50,7 @@ def test_public_names_are_pinned():
 
 # The complexkit modules that each module of the package imports. An engine
 # uses another only where it builds on it (``scenario`` on ``cas``,
-# ``coevolve`` on ``cas``, ``evolution`` and ``scenario``); what several
+# ``coevolve`` on ``cas`` and ``evolution``); what several
 # share sits in ``grid`` or in the leaf ``_shared``. A static table, because
 # ``complexkit/__init__`` imports every module, so which modules a fresh
 # interpreter has loaded after one import says nothing about that module.
@@ -64,7 +64,7 @@ IMPORTS = {
     "cas": {"_shared", "grid"},
     "scenario": {"_shared", "cas", "grid"},
     "evolution": set(),
-    "coevolve": {"cas", "evolution", "scenario"},
+    "coevolve": {"cas", "evolution"},
     "cli": {"_shared", "automaton", "complexity", "coevolve", "dynamics", "evolution", "grid",
             "patterns", "scenario"},
     "__init__": {"automaton", "cas", "complexity", "coevolve", "dynamics", "evolution", "grid",
@@ -95,9 +95,45 @@ def test_each_module_imports_only_the_modules_in_its_row():
     assert {name: _package_imports(tree) for name, tree in trees.items()} == IMPORTS
 
 
+def _trees() -> dict[str, ast.Module]:
+    return {path.stem: ast.parse(path.read_text(encoding="utf-8"))
+            for path in Path(complexkit.__file__).parent.glob("*.py")}
+
+
+# The ``_``-prefixed names that a module takes from another complexkit
+# module, the leaf ``_shared`` aside: module -> {source module: names}.
+# Each is a decision that the source owns and that the importer builds on
+# directly (the automaton steps ``grid``'s packed layout, the census keys
+# states by ``grid``'s ``_state_keys``, and the CLI checks ``--scales`` as
+# the census does).
+PRIVATE_IMPORTS = {
+    "automaton": {"grid": {"_decode", "_pack", "_ring"}},
+    "cli": {"complexity": {"_check_scales"}},
+    "complexity": {"grid": {"_state_keys"}},
+}
+
+
+def test_private_names_cross_modules_only_where_pinned():
+    found: dict[str, dict[str, set[str]]] = {}
+    for name, tree in _trees().items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.level and node.module != "_shared":
+                private = {a.name for a in node.names if a.name.startswith("_")}
+                if private:
+                    found.setdefault(name, {}).setdefault(node.module, set()).update(private)
+    assert found == PRIVATE_IMPORTS
+
+
+def test_only_grid_reads_a_grids_internal_store():
+    readers = {name for name, tree in _trees().items() for node in ast.walk(tree)
+               if isinstance(node, ast.Attribute) and node.attr in ("_packed", "_cells")}
+    assert readers == {"grid"}
+
+
 def test_each_shared_helper_is_defined_in_one_module():
     homes = {"ScenarioError": "_shared", "checked": "_shared", "weighted_index": "_shared",
-             "coarse_grain": "grid"}
+             "coarse_grain": "grid", "_anchor_mask": "grid", "_any_blocks": "grid",
+             "_state_keys": "grid", "run_scenario": "cas"}
     for path in Path(complexkit.__file__).parent.glob("*.py"):
         tree = ast.parse(path.read_text(encoding="utf-8"))
         for node in tree.body:
@@ -109,6 +145,7 @@ def test_moved_names_are_re_exported_as_one_object():
     assert complexkit.coarse_grain is complexity.coarse_grain is grid.coarse_grain
     assert complexkit.ScenarioError is scenario.ScenarioError is _shared.ScenarioError
     assert dynamics.weighted_index is _shared.weighted_index
+    assert complexkit.run_scenario is scenario.run_scenario is cas.run_scenario
 
 
 def test_every_traced_attribute_exists():
