@@ -49,6 +49,7 @@ import random
 import struct
 from dataclasses import dataclass, field, replace
 from itertools import islice
+from operator import index
 from typing import Callable, Mapping, Sequence
 
 from ._shared import weighted_index
@@ -149,6 +150,10 @@ class Frame:
     projection: frozenset[str] | None = None
 
     def __post_init__(self):
+        try:
+            index(self.scale)
+        except TypeError:
+            raise ValueError(f"scale must be an integer, got {self.scale!r}") from None
         if self.scale < 1:
             raise ValueError(f"scale must be >= 1, got {self.scale}")
 

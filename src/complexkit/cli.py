@@ -8,7 +8,8 @@
     complexkit dynamics lyapunov --map logistic --r 4.0 --x0 0.3 --seed 1
     complexkit dynamics sweep --r-from 2.5 --r-to 4.0 --r-step 0.1 --seed 1
 
-Every run requires an explicit seed (flag or config file). A flag takes
+Every run requires an explicit seed (flag or config file), the dynamics
+verbs too, though their logistic map draws nothing from it. A flag takes
 its value from argv, else from the ``--config`` JSON file, else from the
 default declared with the flag; a JSON ``null`` leaves the flag unset. A
 config key that is not a flag of the verb (or, for ``cas run``, a scenario
@@ -16,7 +17,9 @@ key) and a value of the wrong JSON kind exit 2 with one line naming the
 key. A verb declares only the output flags it writes (``--out``,
 ``--metrics``), so any other exits 2 like an unknown flag. Exit codes: 0
 success, 1 domain error, 2 I/O, usage, or parse error. Metrics are CSV
-only and never share a stream with log text.
+only and never share a stream with log text. ``dynamics sweep`` computes
+every row before it opens its output, so a sweep that fails at some ``r``
+writes no file, and its error line names that ``r``.
 """
 
 from __future__ import annotations
@@ -26,7 +29,6 @@ import contextlib
 import csv
 import json
 import logging
-import random
 import sys
 from pathlib import Path
 
@@ -312,8 +314,7 @@ def _cmd_complexity_profile(args) -> int:
 
 def _cmd_dynamics_lyapunov(args) -> int:
     path = _csv_path(args)
-    rng = random.Random(args.seed)
-    lam = divergence_rate(logistic_map(args.r), args.x0, args.steps, burn_in=args.burnin, rng=rng)
+    lam = divergence_rate(logistic_map(args.r), args.x0, args.steps, burn_in=args.burnin)
     with _csv_out(path) as w:
         w.writerow(["map", "r", "x0", "steps", "burnin", "lyapunov"])
         w.writerow([args.map, args.r, args.x0, args.steps, args.burnin, lam])
@@ -326,17 +327,20 @@ def _cmd_dynamics_sweep(args) -> int:
         raise ScenarioError("sweep needs --r-from, --r-to and --r-step")
     if args.r_step <= 0:
         raise ScenarioError("--r-step must be positive")
-    rng = random.Random(args.seed)
+    rows = []
+    k = 0
+    r = args.r_from
+    while r <= args.r_to + 1e-12:
+        try:
+            rows.append([r, divergence_rate(logistic_map(r), args.x0, args.steps,
+                                            burn_in=args.burnin)])
+        except DivergenceError as exc:
+            raise ValueError(f"r={r}: {exc}") from None
+        k += 1
+        r = args.r_from + k * args.r_step
     with _csv_out(path) as w:
         w.writerow(["r", "lyapunov"])
-        k = 0
-        r = args.r_from
-        while r <= args.r_to + 1e-12:
-            lam = divergence_rate(logistic_map(r), args.x0, args.steps, burn_in=args.burnin,
-                                  rng=rng)
-            w.writerow([r, lam])
-            k += 1
-            r = args.r_from + k * args.r_step
+        w.writerows(rows)
     return 0
 
 

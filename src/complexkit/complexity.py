@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import index
 from typing import Hashable, Iterable, Sequence
 
 from .grid import Grid, _state_keys
@@ -71,20 +72,26 @@ class ComplexityProfile:
         return tuple(e.bits for e in self.entries)
 
 
-def _check_scales(scales: Sequence[int]) -> None:
-    """Raise ValueError unless ``scales`` is an ascending divisibility chain
-    of positive scales."""
+def _check_scales(scales: Sequence[int]) -> tuple[int, ...]:
+    """``scales`` as ints (through ``operator.index``: ints, bools, numpy
+    integers); raise ValueError unless they are an ascending divisibility
+    chain of positive integers."""
     if not scales:
         raise ValueError("need at least one scale")
-    prev = None
+    chain: list[int] = []
     for s in scales:
+        try:
+            s = index(s)
+        except TypeError:
+            raise ValueError(f"scales must be integers, got {s!r}") from None
         if s < 1:
             raise ValueError(f"scales must be positive, got {s}")
-        if prev is not None and (s <= prev or s % prev != 0):
+        if chain and (s <= chain[-1] or s % chain[-1] != 0):
             raise ValueError(
-                f"scales must form an ascending divisibility chain, got {prev} then {s}"
+                f"scales must form an ascending divisibility chain, got {chain[-1]} then {s}"
             )
-        prev = s
+        chain.append(s)
+    return tuple(chain)
 
 
 def complexity_profile(history: Iterable[Grid], scales: Sequence[int]) -> ComplexityProfile:
@@ -96,7 +103,7 @@ def complexity_profile(history: Iterable[Grid], scales: Sequence[int]) -> Comple
     blocks nest and the bits sequence is non-increasing by construction.
     The history is read once, so it may be an iterator such as ``run(...)``.
     """
-    _check_scales(scales)
+    scales = _check_scales(scales)
     seen: list[set[Hashable]] = [set() for _ in scales]
     sample_size = 0
     for g in history:

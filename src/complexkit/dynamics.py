@@ -6,10 +6,17 @@ drawn by probability at every step). The per-step divergence exponent
 realized trajectory, with a two-trajectory renormalization method kept
 as an independent cross-check.
 
-Every function here steps the orbit through one branch stream, built
-once per call, that yields each step's branch. Both estimators stream
-the orbit in O(1) memory; only ``iterate`` materialises it, as a
-``Trajectory``.
+The functions here step the orbit through one branch stream, built once
+per call, that yields each step's branch; a deterministic map draws
+nothing, so its ``rng`` is never read. Both estimators stream the orbit
+in O(1) memory; only ``iterate`` materialises it, as a ``Trajectory``.
+The one exception to the stream is ``divergence_rate`` on a map built by
+``logistic_map``: its loop writes the map's two expressions inline, in
+the branch's operation order, so its value, its ``DivergenceError`` step
+and its warning are those of the generic loop, bit for bit.
+
+A branch probability must be a number >= 0 (NaN is refused, naming the
+value), and the probabilities must sum to 1 within 1e-12.
 """
 
 from __future__ import annotations
@@ -56,8 +63,13 @@ class IterativeMap:
             raise ValueError("a map needs at least one branch")
         total = 0.0
         for b in self.branches:
-            if b.probability < 0:
-                raise ValueError("branch probabilities must be non-negative")
+            try:
+                valid = b.probability >= 0  # False for NaN
+            except TypeError:
+                valid = False
+            if not valid:
+                raise ValueError(
+                    f"branch probabilities must be numbers >= 0, got {b.probability!r}")
             total += b.probability
         if abs(total - 1.0) > 1e-12:
             raise ValueError(f"branch probabilities must sum to 1, got {total}")
@@ -71,9 +83,20 @@ class IterativeMap:
         return tuple(b.probability for b in self.branches)
 
 
+class _LogisticMap(IterativeMap):
+    """The map ``logistic_map`` returns. It keeps ``r``, so that
+    ``divergence_rate`` can run the branch's expressions inline. It is
+    not decorated as a dataclass of its own, since each decoration adds
+    to the import time of every CLI start."""
+
+    def __init__(self, r: float):
+        super().__init__((Branch(lambda x: r * x * (1.0 - x), lambda x: r * (1.0 - 2.0 * x)),))
+        object.__setattr__(self, "r", r)
+
+
 def logistic_map(r: float) -> IterativeMap:
     """x -> r*x*(1-x), derivative r*(1-2x)."""
-    return IterativeMap((Branch(lambda x: r * x * (1.0 - x), lambda x: r * (1.0 - 2.0 * x)),))
+    return _LogisticMap(r)
 
 
 def identity_map() -> IterativeMap:
@@ -176,6 +199,20 @@ def divergence_rate(
     image, so memory stays O(1) in ``burn_in + n``.
     """
     _check_estimate(m, x0, n, burn_in, rng)
+    if type(m) is _LogisticMap:
+        total, floors = _logistic_sums(m.r, x0, n, burn_in)
+    else:
+        total, floors = _generic_sums(m, x0, n, burn_in, rng)
+    if floors:
+        log.warning("zero derivative at %d of %d steps; floored at %g", floors, n, DERIVATIVE_FLOOR)
+    return total / n
+
+
+def _generic_sums(
+    m: IterativeMap, x0: float, n: int, burn_in: int, rng: random.Random | None
+) -> tuple[float, int]:
+    """The sum of ln|f'| over steps burn_in+1..burn_in+n of any map's
+    orbit, and the count of floored steps in it."""
     stream = _branch_stream(m, rng)
     x = _burn_in(x0, burn_in, stream)
     isfinite, log_ = math.isfinite, math.log
@@ -190,9 +227,57 @@ def divergence_rate(
         x = fn(x)
         if not isfinite(x):
             raise DivergenceError(t, x)
-    if floors:
-        log.warning("zero derivative at %d of %d steps; floored at %g", floors, n, DERIVATIVE_FLOOR)
-    return total / n
+    return total, floors
+
+
+# The inline logistic loop checks that the state is finite once per block
+# of this many steps; a divergence costs at most one block stepped again.
+_BLOCK = 4096
+
+
+def _logistic_sums(r: float, x: float, n: int, burn_in: int) -> tuple[float, int]:
+    """``_generic_sums`` for ``logistic_map(r)``, with the branch's
+    ``r * x * (1.0 - x)`` and ``r * (1.0 - 2.0 * x)`` written inline in
+    the same operation order, so the sums are the same bits.
+
+    A state that leaves the finite reals never comes back (inf and NaN
+    stay non-finite through ``r * x * (1.0 - x)`` for any real ``r``), so
+    the loop checks the state only at the end of each block of steps. A
+    block that ends non-finite is stepped again from its start with a
+    check at every step, which raises the generic loop's
+    ``DivergenceError`` at the same step."""
+    isfinite, log_, repeat = math.isfinite, math.log, itertools.repeat
+    for done in range(0, burn_in, _BLOCK):
+        size = min(_BLOCK, burn_in - done)
+        start = x
+        for _ in repeat(None, size):
+            x = r * x * (1.0 - x)
+        if not isfinite(x):
+            _logistic_divergence(r, start, done, size)
+    total = 0.0
+    floors = 0
+    for done in range(burn_in, burn_in + n, _BLOCK):
+        size = min(_BLOCK, burn_in + n - done)
+        start = x
+        for _ in repeat(None, size):
+            d = abs(r * (1.0 - 2.0 * x))
+            if d == 0.0:
+                floors += 1
+                d = DERIVATIVE_FLOOR
+            total += log_(d)
+            x = r * x * (1.0 - x)
+        if not isfinite(x):
+            _logistic_divergence(r, start, done, size)
+    return total, floors
+
+
+def _logistic_divergence(r: float, x: float, done: int, size: int) -> None:
+    """Step ``x`` through steps done+1..done+size of ``logistic_map(r)``
+    and raise ``DivergenceError`` at the first state that is not finite."""
+    for t in range(done + 1, done + size + 1):
+        x = r * x * (1.0 - x)
+        if not math.isfinite(x):
+            raise DivergenceError(t, x)
 
 
 def divergence_rate_two_trajectory(

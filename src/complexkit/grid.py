@@ -16,7 +16,9 @@ when to re-pack. ``_key`` and ``_packed_key`` give a cell set a hashable
 key that does not depend on how the set is held, and ``_state_keys``
 gives the complexity census a grid's key at each of its scales, reading a
 packed grid's layout without decoding it. ``coarse_grain`` maps a square
-grid to the grid of its blocks at one scale (``cas.observe`` uses it).
+grid to the grid of its blocks at one scale (``cas.observe`` uses it);
+the scale must be an integer >= 1, through ``operator.index`` as the
+coordinates are.
 """
 
 from __future__ import annotations
@@ -409,6 +411,10 @@ def coarse_grain(grid: Grid, scale: int, rule: str = "any") -> Grid:
     """
     if grid.topology is not Topology.SQUARE:
         raise ValueError("coarse graining is defined for square grids only")
+    try:
+        scale = index(scale)
+    except TypeError:
+        raise ValueError(f"scale must be an integer, got {scale!r}") from None
     if scale < 1:
         raise ValueError(f"scale must be >= 1, got {scale}")
     if rule not in ("any", "majority"):

@@ -243,6 +243,24 @@ def test_observe_scale_matches_coarse_grain():
     assert obs.grid == coarse_grain(env.space, 2)
 
 
+@pytest.mark.parametrize("scale, message", [
+    (1.5, "scale must be an integer, got 1.5"),
+    (2.0, "scale must be an integer, got 2.0"),
+    (float("nan"), "scale must be an integer, got nan"),
+    (0, "scale must be >= 1, got 0"),
+])
+def test_a_frame_refuses_a_scale_that_is_not_an_integer_at_least_one(scale, message):
+    with pytest.raises(ValueError) as exc:
+        Frame(scale=scale)
+    assert str(exc.value) == message
+
+
+def test_observe_takes_an_integer_like_scale():
+    np = pytest.importorskip("numpy")
+    env = tick(build_environment(SCENARIO))
+    assert observe(env, Frame(scale=np.int64(2))).grid == coarse_grain(env.space, 2)
+
+
 def test_observation_coarsening_is_monotone():
     # the scale-4 view is recoverable from the scale-2 view
     env = build_environment(SCENARIO)

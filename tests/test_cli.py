@@ -322,6 +322,27 @@ def test_a_sweep_step_that_is_not_positive_exits_2(tmp_path, capsys, step, sourc
     assert not out.exists()
 
 
+def test_a_sweep_that_diverges_writes_no_file(tmp_path, capsys):
+    out = tmp_path / "sweep.csv"
+    argv = ["dynamics", "sweep", "--r-from", "3.9", "--r-to", "4.2", "--r-step", "0.1",
+            "--x0", "0.3", "--steps", "200", "--burnin", "10", "--seed", "1", "--out", str(out)]
+    assert execute(argv) == 1
+    assert capsys.readouterr().err == "error: r=4.1: non-finite value -inf at step 15\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flags, step", [
+    (["--x0", "1e300"], 1),
+    (["--r", "4.5", "--x0", "0.3", "--burnin", "0", "--steps", "500"], 19),
+    (["--r", "4.5", "--x0", "0.3", "--burnin", "100", "--steps", "500"], 19),
+], ids=["first-step", "main-loop", "burn-in"])
+def test_a_lyapunov_run_that_diverges_exits_1_and_writes_no_file(tmp_path, capsys, flags, step):
+    out = tmp_path / "lyapunov.csv"
+    assert execute(["dynamics", "lyapunov", *flags, "--seed", "1", "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: non-finite value -inf at step {step}\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("argv, pattern, message", [
     (["life", "run"], None, "a --pattern file is required"),
     (["cas", "run"], None, "cas run needs a scenario --config file"),

@@ -92,6 +92,20 @@ def test_coarse_grain_composes_for_nested_scales():
         assert coarse_grain(coarse_grain(g, 4), 2) == coarse_grain(g, 8)
 
 
+@pytest.mark.parametrize("scales", [[2.0], [1.5], [float("nan")], [1, 2.0]])
+def test_profile_refuses_a_scale_that_is_not_an_integer(scales):
+    with pytest.raises(ValueError) as exc:
+        complexity_profile(run(BLOCK, CONWAY_LIFE, 3), scales)
+    assert str(exc.value) == f"scales must be integers, got {scales[-1]!r}"
+
+
+def test_profile_takes_integer_like_scales():
+    np = pytest.importorskip("numpy")
+    history = list(run(BLINKER, CONWAY_LIFE, 4))
+    assert (complexity_profile(history, [np.int64(1), np.int64(2)]).bits
+            == complexity_profile(history, [1, 2]).bits)
+
+
 def test_profile_still_life_is_flat_zero():
     history = run(BLOCK, CONWAY_LIFE, 10)
     profile = complexity_profile(history, [1, 2, 4])

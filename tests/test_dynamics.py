@@ -2,11 +2,13 @@ import contextlib
 import logging
 import math
 import random
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from complexkit import dynamics
 from complexkit.dynamics import (
     Branch,
     DivergenceError,
@@ -86,6 +88,16 @@ def test_branch_probabilities_validated():
         IterativeMap((Branch(f, df, 0.5), Branch(f, df, 0.6)))
     with pytest.raises(ValueError):
         IterativeMap(())
+
+
+@pytest.mark.parametrize("probabilities", [(math.nan, 1.0), (math.nan,), (-0.5, 1.5), ("1",)],
+                         ids=["nan-and-one", "nan-alone", "negative", "string"])
+def test_a_probability_that_is_not_a_number_at_least_zero_is_refused(probabilities):
+    # NaN fails every comparison, so neither a "< 0" test nor the sum test refuses it.
+    branches = tuple(Branch(lambda x: x, lambda x: 1.0, p) for p in probabilities)
+    with pytest.raises(ValueError) as exc:
+        IterativeMap(branches)
+    assert str(exc.value) == f"branch probabilities must be numbers >= 0, got {probabilities[0]!r}"
 
 
 def test_stochastic_map_records_branch_log():
@@ -265,3 +277,47 @@ def test_floor_warning_matches_the_oracle():
     m = IterativeMap((_branch("constant", 0.5, 0.5), _branch("logistic", 4.0, 0.5)))
     _, messages, _ = assert_matches_oracle(m, 0.3, 200, 5, 3)
     assert len(messages) == 1 and messages[0].startswith("zero derivative at ")
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    st.one_of(
+        st.floats(-5.0, 5.0),
+        st.floats(allow_nan=False, allow_infinity=False),
+        st.integers(-8, 8),
+        st.sampled_from([0.0, -0.0, 4.0, 3.9999999999999996, 1e200, -1e200, math.inf, math.nan]),
+    ),
+    st.one_of(
+        st.floats(-1.5, 1.5),
+        st.sampled_from([0.0, 0.5, 1.0, 1e300, -1e300, math.nan, math.inf, -math.inf]),
+    ),
+    st.integers(0, 120),
+    st.integers(-1, 120),
+    st.one_of(st.none(), st.integers(0, 2**32)),
+    st.one_of(st.integers(1, 9), st.just(dynamics._BLOCK)),
+)
+def test_inline_logistic_divergence_rate_matches_the_materialised_oracle(
+    r, x0, n, burn_in, seed, block
+):
+    # divergence_rate steps logistic_map(r) with its expressions written
+    # inline, checking finiteness once per block; the oracle calls the
+    # map's branch functions and checks every step.
+    with mock.patch.object(dynamics, "_BLOCK", block):
+        assert_matches_oracle(logistic_map(r), x0, n, burn_in, seed)
+
+
+@pytest.mark.parametrize("r, x0, burn_in, step", [
+    (4.0, 1e300, 0, 1), (4.5, 0.3, 0, 19), (4.5, 0.3, 10, 19), (4.5, 0.3, 100, 19),
+    (4.0000009, 0.3, 0, 4499), (4.0000009, 0.3, 5000, 4499), (4.0000014, 0.3, 1000, 8447)],
+    ids=["first-step", "main-loop", "main-loop-after-burn-in", "burn-in",
+         "second-block", "second-block-of-burn-in", "third-block"])
+def test_inline_logistic_reports_the_step_that_diverges(r, x0, burn_in, step):
+    outcome = assert_matches_oracle(logistic_map(r), x0, 10_000, burn_in, 1)
+    assert outcome[0] == ("diverged", step)
+
+
+def test_inline_logistic_floor_warning_matches_the_oracle():
+    # r = 2 from 0.5 stays on the superstable fixed point: every step floors.
+    value, messages, _ = assert_matches_oracle(logistic_map(2.0), 0.5, 50, 3, None)
+    assert float.fromhex(value[1]) == pytest.approx(math.log(1e-300))
+    assert messages == ["zero derivative at 50 of 50 steps; floored at 1e-300"]

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from complexkit.automaton import RuleSet, run
-from complexkit.grid import Grid, Topology, _decode, _pack, _ring, neighbors
+from complexkit.grid import Grid, Topology, _decode, _pack, _ring, coarse_grain, neighbors
 from complexkit.patterns import encode_pattern
 
 
@@ -74,6 +74,21 @@ def test_integer_like_coordinates_are_kept_as_ints():
     g = Grid([(np.int64(3), np.int32(-4)), (True, False), [5, 6]])
     assert g.cells == {(3, -4): 1, (1, 0): 1, (5, 6): 1}
     assert all(type(v) is int for coord in g.cells for v in coord)
+
+
+@pytest.mark.parametrize("scale", [1.5, 2.0, float("nan"), "2"])
+def test_coarse_grain_refuses_a_scale_that_is_not_an_integer(scale):
+    with pytest.raises(ValueError) as exc:
+        coarse_grain(Grid([(0, 0), (1, 1), (5, 5)]), scale)
+    assert str(exc.value) == f"scale must be an integer, got {scale!r}"
+
+
+def test_coarse_grain_takes_integer_like_scales():
+    np = pytest.importorskip("numpy")
+    g = Grid([(0, 0), (1, 1), (5, 5)])
+    assert coarse_grain(g, np.int64(2)).cells == {(0, 0): 1, (2, 2): 1}
+    assert coarse_grain(g, True) == g
+    assert all(type(v) is int for coord in coarse_grain(g, np.int32(2)).cells for v in coord)
 
 
 def test_negative_state_rejected():
