@@ -3,13 +3,15 @@
 This module imports no other ``complexkit`` module, so an engine or the
 CLI can use it without loading another engine. ``scenario`` and the CLI
 read every input value through ``checked``, and refuse bad input with
-``ScenarioError``; ``cas`` and ``dynamics`` draw an index by weight through
+``ScenarioError``; ``cas`` and ``dynamics`` take a step or tick count
+through ``as_integer`` and draw an index by weight through
 ``weighted_index``.
 """
 
 from __future__ import annotations
 
 import sys
+from operator import index
 from typing import Mapping, Sequence
 
 
@@ -47,6 +49,15 @@ def checked(name: str, value, kind: type, choices=None, low=None):
     if low is not None and value < low:
         raise ScenarioError(f"{name} must be >= {low}, got {value}")
     return value
+
+
+def as_integer(what: str, value) -> int:
+    """``value`` as an int, through ``operator.index`` (ints, bools, numpy
+    integers); raise ValueError naming ``what`` and any other value."""
+    try:
+        return index(value)
+    except TypeError:
+        raise ValueError(f"{what} must be an integer, got {value!r}") from None
 
 
 def weighted_index(weights: Sequence[float], total: float, u: float) -> int:

@@ -34,6 +34,7 @@ from __future__ import annotations
 import re
 from collections import Counter
 from dataclasses import dataclass
+from operator import index
 from typing import Collection, Iterator
 
 from .grid import Coordinate, Grid, Topology, _decode, _pack, _ring
@@ -217,6 +218,10 @@ def run(grid: Grid, rule: RuleSet = CONWAY_LIFE, generations: int = 0) -> Iterat
     that needs the whole history keeps it with ``list(run(...))``. The
     rule is checked against the topology here, for any ``generations``.
     """
+    try:
+        generations = index(generations)
+    except TypeError:
+        raise ValueError(f"generation count must be an integer, got {generations!r}") from None
     if generations < 0:
         raise ValueError(f"generation count must be >= 0, got {generations}")
     _validate_rule(rule, grid.topology)
@@ -261,6 +266,10 @@ def classify_pattern(grid: Grid, rule: RuleSet = CONWAY_LIFE, horizon: int = 64)
     Matches are modulo translation only. A pattern that returns to itself
     after one step is a still life, never a period-1 oscillator.
     """
+    try:
+        horizon = index(horizon)
+    except TypeError:
+        raise ValueError(f"horizon must be an integer, got {horizon!r}") from None
     if horizon < 1:
         raise ValueError(f"horizon must be >= 1, got {horizon}")
     start_canon = grid.canonicalize()

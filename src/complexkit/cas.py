@@ -52,7 +52,7 @@ from itertools import islice
 from operator import index
 from typing import Callable, Mapping, Sequence
 
-from ._shared import weighted_index
+from ._shared import as_integer, weighted_index
 from .grid import Grid, coarse_grain
 
 
@@ -350,7 +350,7 @@ def run_scenario(env: Environment, ticks: int) -> tuple[Environment, list[dict]]
     """Run ``ticks`` synchronous updates, collecting one metrics row per tick:
     tick number, agent count, mean response, and mean reward (the reward is
     the response, so the two columns are equal)."""
-    if ticks < 0:
+    if as_integer("tick count", ticks) < 0:
         raise ValueError("tick count must be >= 0")
     start, agents = env.time, len(env.agents())
     env, means = _run(env, ticks)

@@ -327,6 +327,8 @@ def _cmd_dynamics_sweep(args) -> int:
         raise ScenarioError("sweep needs --r-from, --r-to and --r-step")
     if args.r_step <= 0:
         raise ScenarioError("--r-step must be positive")
+    if args.r_from > args.r_to + 1e-12:
+        raise ScenarioError(f"--r-to {args.r_to} is below --r-from {args.r_from}")
     rows = []
     k = 0
     r = args.r_from

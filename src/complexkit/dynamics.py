@@ -12,11 +12,17 @@ nothing, so its ``rng`` is never read. Both estimators stream the orbit
 in O(1) memory; only ``iterate`` materialises it, as a ``Trajectory``.
 The one exception to the stream is ``divergence_rate`` on a map built by
 ``logistic_map``: its loop writes the map's two expressions inline, in
-the branch's operation order, so its value, its ``DivergenceError`` step
-and its warning are those of the generic loop, bit for bit.
+the branch's operation order, so its value and its warning are those of
+the generic loop, bit for bit. It checks the state once at the end of
+burn-in and once after the last step; if either is not finite, the
+generic loop runs again from ``x0`` and raises the ``DivergenceError``
+of the step that diverged.
 
 A branch probability must be a number >= 0 (NaN is refused, naming the
-value), and the probabilities must sum to 1 within 1e-12.
+value), and the probabilities must sum to 1 within 1e-12. A step count
+or burn-in must be an integer (``operator.index``), and the
+two-trajectory ``delta0`` a finite number > 0; any other value is
+refused with a ``ValueError`` naming it.
 """
 
 from __future__ import annotations
@@ -29,7 +35,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Iterator
 
-from ._shared import weighted_index
+from ._shared import as_integer, weighted_index
 
 log = logging.getLogger(__name__)
 
@@ -103,10 +109,6 @@ def identity_map() -> IterativeMap:
     return IterativeMap((Branch(lambda x: x, lambda x: 1.0),))
 
 
-# One step of an orbit: the chosen branch's index, function and derivative.
-Step = tuple[int, Callable[[float], float], Callable[[float], float]]
-
-
 @dataclass(frozen=True)
 class Trajectory:
     """States x0..xn plus, for stochastic maps, the branch chosen per step."""
@@ -115,7 +117,7 @@ class Trajectory:
     branch_log: tuple[int, ...]
 
 
-def _branch_stream(m: IterativeMap, rng: random.Random | None) -> Iterator[Step]:
+def _branch_stream(m: IterativeMap, rng: random.Random | None) -> Iterator[tuple]:
     """The ``(index, fn, deriv)`` of every step: one repeated tuple for a
     deterministic map, which never draws, otherwise one ``rng`` draw per
     step. Callers zip a ``range`` first with it, so the stream is never
@@ -123,14 +125,8 @@ def _branch_stream(m: IterativeMap, rng: random.Random | None) -> Iterator[Step]
     steps = [(i, b.fn, b.deriv) for i, b in enumerate(m.branches)]
     if m.deterministic:
         return itertools.repeat(steps[0])
-    return _drawn_steps(steps, m.probabilities, rng.random)
-
-
-def _drawn_steps(
-    steps: list[Step], probabilities: tuple[float, ...], draw: Callable[[], float]
-) -> Iterator[Step]:
-    while True:
-        yield steps[weighted_index(probabilities, 1.0, draw())]
+    probabilities, draw = m.probabilities, rng.random
+    return (steps[weighted_index(probabilities, 1.0, draw())] for _ in itertools.repeat(None))
 
 
 def _check_orbit(m: IterativeMap, x0: float, rng: random.Random | None) -> None:
@@ -144,14 +140,14 @@ def _check_estimate(
     m: IterativeMap, x0: float, n: int, burn_in: int, rng: random.Random | None
 ) -> None:
     """The argument checks both exponent estimators share, in this order."""
-    if n < 1:
+    if as_integer("step count", n) < 1:
         raise ValueError(f"need n >= 1 steps, got {n}")
-    if burn_in < 0:
+    if as_integer("burn-in", burn_in) < 0:
         raise ValueError(f"burn-in must be >= 0, got {burn_in}")
     _check_orbit(m, x0, rng)
 
 
-def _burn_in(x: float, burn_in: int, stream: Iterator[Step]) -> float:
+def _burn_in(x: float, burn_in: int, stream: Iterator[tuple]) -> float:
     """Step ``x`` through steps 1..burn_in of ``stream``; returns the state."""
     isfinite = math.isfinite
     for t, (_, fn, _) in zip(range(1, burn_in + 1), stream):
@@ -167,7 +163,7 @@ def iterate(m: IterativeMap, x0: float, n: int, rng: random.Random | None = None
     The only function here that materialises an orbit: the estimators
     below stream theirs in O(1) memory.
     """
-    if n < 0:
+    if as_integer("step count", n) < 0:
         raise ValueError(f"step count must be >= 0, got {n}")
     _check_orbit(m, x0, rng)
     states = [x0]
@@ -200,7 +196,7 @@ def divergence_rate(
     """
     _check_estimate(m, x0, n, burn_in, rng)
     if type(m) is _LogisticMap:
-        total, floors = _logistic_sums(m.r, x0, n, burn_in)
+        total, floors = _logistic_sums(m, x0, n, burn_in)
     else:
         total, floors = _generic_sums(m, x0, n, burn_in, rng)
     if floors:
@@ -230,54 +226,34 @@ def _generic_sums(
     return total, floors
 
 
-# The inline logistic loop checks that the state is finite once per block
-# of this many steps; a divergence costs at most one block stepped again.
-_BLOCK = 4096
-
-
-def _logistic_sums(r: float, x: float, n: int, burn_in: int) -> tuple[float, int]:
+def _logistic_sums(m: _LogisticMap, x0: float, n: int, burn_in: int) -> tuple[float, int]:
     """``_generic_sums`` for ``logistic_map(r)``, with the branch's
     ``r * x * (1.0 - x)`` and ``r * (1.0 - 2.0 * x)`` written inline in
     the same operation order, so the sums are the same bits.
 
     A state that leaves the finite reals never comes back (inf and NaN
-    stay non-finite through ``r * x * (1.0 - x)`` for any real ``r``), so
-    the loop checks the state only at the end of each block of steps. A
-    block that ends non-finite is stepped again from its start with a
-    check at every step, which raises the generic loop's
-    ``DivergenceError`` at the same step."""
+    stay non-finite through ``r * x * (1.0 - x)`` for any real ``r``), and
+    nothing in the loop raises on one, so the state is checked only at
+    the end of burn-in and after the last step. If either check fails,
+    the generic loop runs again from ``x0`` and raises its
+    ``DivergenceError`` at the step that diverged."""
+    r, x = m.r, x0
     isfinite, log_, repeat = math.isfinite, math.log, itertools.repeat
-    for done in range(0, burn_in, _BLOCK):
-        size = min(_BLOCK, burn_in - done)
-        start = x
-        for _ in repeat(None, size):
-            x = r * x * (1.0 - x)
-        if not isfinite(x):
-            _logistic_divergence(r, start, done, size)
-    total = 0.0
-    floors = 0
-    for done in range(burn_in, burn_in + n, _BLOCK):
-        size = min(_BLOCK, burn_in + n - done)
-        start = x
-        for _ in repeat(None, size):
+    for _ in repeat(None, burn_in):
+        x = r * x * (1.0 - x)
+    if isfinite(x):
+        total = 0.0
+        floors = 0
+        for _ in repeat(None, n):
             d = abs(r * (1.0 - 2.0 * x))
             if d == 0.0:
                 floors += 1
                 d = DERIVATIVE_FLOOR
             total += log_(d)
             x = r * x * (1.0 - x)
-        if not isfinite(x):
-            _logistic_divergence(r, start, done, size)
-    return total, floors
-
-
-def _logistic_divergence(r: float, x: float, done: int, size: int) -> None:
-    """Step ``x`` through steps done+1..done+size of ``logistic_map(r)``
-    and raise ``DivergenceError`` at the first state that is not finite."""
-    for t in range(done + 1, done + size + 1):
-        x = r * x * (1.0 - x)
-        if not math.isfinite(x):
-            raise DivergenceError(t, x)
+        if isfinite(x):
+            return total, floors
+    return _generic_sums(m, x0, n, burn_in, None)
 
 
 def divergence_rate_two_trajectory(
@@ -293,10 +269,17 @@ def divergence_rate_two_trajectory(
     Tracks a second trajectory offset by ``delta0``, accumulating the log
     separation growth each step and rescaling the offset back to ``delta0``
     (Benettin et al. 1980). Stochastic maps apply the same branch to both
-    trajectories. Checks its arguments as ``divergence_rate`` does and
-    streams the orbit the same way.
+    trajectories. Checks its arguments as ``divergence_rate`` does, then
+    refuses a ``delta0`` that is not a finite number > 0, and streams the
+    orbit the same way.
     """
     _check_estimate(m, x0, n, burn_in, rng)
+    try:
+        valid = 0.0 < delta0 < math.inf  # False for NaN
+    except TypeError:
+        valid = False
+    if not valid:
+        raise ValueError(f"delta0 must be a finite number > 0, got {delta0!r}")
     stream = _branch_stream(m, rng)
     x = _burn_in(x0, burn_in, stream)
     y = x + delta0

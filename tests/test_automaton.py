@@ -80,6 +80,17 @@ def test_run_zero_generations():
     assert list(run(BLOCK, CONWAY_LIFE, 0)) == [BLOCK]
 
 
+def test_run_refuses_a_generation_count_that_is_not_an_integer():
+    # Refused when run is called, before generation 0 is yielded.
+    with pytest.raises(ValueError, match=r"^generation count must be an integer, got 2\.5$"):
+        run(BLOCK, CONWAY_LIFE, 2.5)
+
+
+def test_classify_refuses_a_horizon_that_is_not_an_integer():
+    with pytest.raises(ValueError, match=r"^horizon must be an integer, got 2\.5$"):
+        classify_pattern(BLOCK, CONWAY_LIFE, 2.5)
+
+
 def test_run_blinker_period_two():
     assert list(run(BLINKER, CONWAY_LIFE, 2))[-1] == BLINKER
 

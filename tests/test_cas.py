@@ -202,6 +202,12 @@ def test_run_scenario_metrics():
     assert all(math.isfinite(row["mean_response"]) for row in metrics)
 
 
+def test_run_scenario_refuses_a_tick_count_that_is_not_an_integer():
+    env = build_environment(SCENARIO)
+    with pytest.raises(ValueError, match=r"^tick count must be an integer, got 2\.5$"):
+        run_scenario(env, 2.5)
+
+
 def test_observe_identity_frame_is_lossless():
     env = build_environment(SCENARIO)
     env = tick(env)

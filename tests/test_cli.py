@@ -322,6 +322,22 @@ def test_a_sweep_step_that_is_not_positive_exits_2(tmp_path, capsys, step, sourc
     assert not out.exists()
 
 
+# A config integer passes unconverted, so the line echoes it as written.
+@pytest.mark.parametrize("source, bounds", [("flags", "2.0 is below --r-from 3.0"),
+                                            ("config", "2 is below --r-from 3")])
+def test_a_reversed_sweep_exits_2(tmp_path, capsys, source, bounds):
+    out = tmp_path / "sweep.csv"
+    argv = ["dynamics", "sweep", "--r-step", "0.1", "--seed", "1", "--out", str(out)]
+    if source == "flags":
+        argv += ["--r-from", "3", "--r-to", "2"]
+    else:
+        (tmp_path / "config.json").write_text(json.dumps({"r-from": 3, "r-to": 2}))
+        argv += ["--config", str(tmp_path / "config.json")]
+    assert execute(argv) == 2
+    assert capsys.readouterr().err == f"error: --r-to {bounds}\n"
+    assert not out.exists()
+
+
 def test_a_sweep_that_diverges_writes_no_file(tmp_path, capsys):
     out = tmp_path / "sweep.csv"
     argv = ["dynamics", "sweep", "--r-from", "3.9", "--r-to", "4.2", "--r-step", "0.1",

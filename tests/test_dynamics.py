@@ -8,7 +8,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from complexkit import dynamics
 from complexkit.dynamics import (
     Branch,
     DivergenceError,
@@ -172,6 +171,29 @@ def test_two_trajectory_rejects_nonfinite_start():
         divergence_rate_two_trajectory(logistic_map(4.0), float("nan"), 1000)
 
 
+@pytest.mark.parametrize("delta0", [0.0, -1e-9, math.nan, math.inf, "1e-9"])
+def test_two_trajectory_refuses_a_delta0_that_is_not_a_finite_number_above_zero(delta0):
+    with pytest.raises(ValueError, match=r"^delta0 must be a finite number > 0, got "):
+        divergence_rate_two_trajectory(logistic_map(4.0), 0.3, 100, burn_in=10, delta0=delta0)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: divergence_rate(logistic_map(4.0), 0.3, 10.5, 0), "step count must be an integer, got 10.5"),
+    (lambda: divergence_rate(logistic_map(4.0), 0.3, 10, 1.5), "burn-in must be an integer, got 1.5"),
+    (lambda: divergence_rate_two_trajectory(logistic_map(4.0), 0.3, 10.5, 0),
+     "step count must be an integer, got 10.5"),
+    (lambda: divergence_rate_two_trajectory(logistic_map(4.0), 0.3, 10, 1.5),
+     "burn-in must be an integer, got 1.5"),
+    (lambda: iterate(logistic_map(4.0), 0.3, 2.5), "step count must be an integer, got 2.5"),
+    (lambda: iterate(logistic_map(4.0), 0.3, "3"), "step count must be an integer, got '3'"),
+], ids=["rate-n", "rate-burn-in", "two-trajectory-n", "two-trajectory-burn-in", "iterate",
+        "iterate-string"])
+def test_a_step_count_that_is_not_an_integer_is_refused(call, message):
+    with pytest.raises(ValueError) as exc:
+        call()
+    assert str(exc.value) == message
+
+
 def test_two_trajectory_floors_a_zero_separation():
     # A constant map merges the two trajectories at every step.
     constant = IterativeMap((Branch(lambda x: 0.5, lambda x: 0.0),))
@@ -294,16 +316,12 @@ def test_floor_warning_matches_the_oracle():
     st.integers(0, 120),
     st.integers(-1, 120),
     st.one_of(st.none(), st.integers(0, 2**32)),
-    st.one_of(st.integers(1, 9), st.just(dynamics._BLOCK)),
 )
-def test_inline_logistic_divergence_rate_matches_the_materialised_oracle(
-    r, x0, n, burn_in, seed, block
-):
+def test_inline_logistic_divergence_rate_matches_the_materialised_oracle(r, x0, n, burn_in, seed):
     # divergence_rate steps logistic_map(r) with its expressions written
-    # inline, checking finiteness once per block; the oracle calls the
-    # map's branch functions and checks every step.
-    with mock.patch.object(dynamics, "_BLOCK", block):
-        assert_matches_oracle(logistic_map(r), x0, n, burn_in, seed)
+    # inline, checking finiteness at the end of each phase; the oracle
+    # calls the map's branch functions and checks every step.
+    assert_matches_oracle(logistic_map(r), x0, n, burn_in, seed)
 
 
 @pytest.mark.parametrize("r, x0, burn_in, step", [
@@ -314,6 +332,23 @@ def test_inline_logistic_divergence_rate_matches_the_materialised_oracle(
 def test_inline_logistic_reports_the_step_that_diverges(r, x0, burn_in, step):
     outcome = assert_matches_oracle(logistic_map(r), x0, 10_000, burn_in, 1)
     assert outcome[0] == ("diverged", step)
+
+
+@pytest.mark.parametrize("burn_in, n", [(19, 5), (18, 5), (10, 9)],
+                         ids=["last-burn-in-step", "first-measured-step", "last-step"])
+def test_inline_logistic_divergence_on_a_phase_boundary_matches_the_oracle(burn_in, n):
+    # From 0.3, logistic_map(4.5) leaves the finite reals at step 19.
+    outcome = assert_matches_oracle(logistic_map(4.5), 0.3, n, burn_in, 1)
+    assert outcome[0] == ("diverged", 19)
+
+
+def test_inline_logistic_divergence_in_burn_in_takes_no_measured_step():
+    # Only a measured step calls math.log: the replay that finds the step
+    # raises in its burn-in, before any derivative is taken.
+    with mock.patch("math.log", side_effect=AssertionError("a measured step ran")):
+        with pytest.raises(DivergenceError) as exc:
+            divergence_rate(logistic_map(4.5), 0.3, 10, burn_in=100)
+    assert exc.value.step == 19
 
 
 def test_inline_logistic_floor_warning_matches_the_oracle():
