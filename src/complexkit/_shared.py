@@ -3,9 +3,11 @@
 This module imports no other ``complexkit`` module, so an engine or the
 CLI can use it without loading another engine. ``scenario`` and the CLI
 read every input value through ``checked``, and refuse bad input with
-``ScenarioError``; ``cas`` and ``dynamics`` take a step or tick count
-through ``as_integer`` and draw an index by weight through
-``weighted_index``.
+``ScenarioError``. Every engine takes each count it is given (a step,
+tick or generation count, a scale, a population or rule count) through
+``as_integer``, the library's one integer check, which refuses a bad
+count with a ``ValueError`` in one of two forms. ``cas`` and
+``dynamics`` draw an index by weight through ``weighted_index``.
 """
 
 from __future__ import annotations
@@ -51,13 +53,17 @@ def checked(name: str, value, kind: type, choices=None, low=None):
     return value
 
 
-def as_integer(what: str, value) -> int:
+def as_integer(what: str, value, low: int | None = None) -> int:
     """``value`` as an int, through ``operator.index`` (ints, bools, numpy
-    integers); raise ValueError naming ``what`` and any other value."""
+    integers); raise ValueError naming ``what`` and the value if it is
+    another type or below ``low``."""
     try:
-        return index(value)
+        value = index(value)
     except TypeError:
         raise ValueError(f"{what} must be an integer, got {value!r}") from None
+    if low is not None and value < low:
+        raise ValueError(f"{what} must be >= {low}, got {value}")
+    return value
 
 
 def weighted_index(weights: Sequence[float], total: float, u: float) -> int:

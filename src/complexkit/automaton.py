@@ -34,9 +34,9 @@ from __future__ import annotations
 import re
 from collections import Counter
 from dataclasses import dataclass
-from operator import index
 from typing import Collection, Iterator
 
+from ._shared import as_integer
 from .grid import Coordinate, Grid, Topology, _decode, _pack, _ring
 
 
@@ -62,8 +62,10 @@ class RuleSet:
     def __post_init__(self):
         object.__setattr__(self, "birth", frozenset(self.birth))
         object.__setattr__(self, "survival", frozenset(self.survival))
-        if self.states < 2:
-            raise RuleError(f"states must be >= 2, got {self.states}")
+        try:
+            as_integer("states", self.states, 2)
+        except ValueError as e:
+            raise RuleError(str(e)) from None
         for count in self.birth | self.survival:
             if not isinstance(count, int) or count < 0:
                 raise RuleError(f"neighbor counts must be non-negative ints, got {count!r}")
@@ -218,12 +220,7 @@ def run(grid: Grid, rule: RuleSet = CONWAY_LIFE, generations: int = 0) -> Iterat
     that needs the whole history keeps it with ``list(run(...))``. The
     rule is checked against the topology here, for any ``generations``.
     """
-    try:
-        generations = index(generations)
-    except TypeError:
-        raise ValueError(f"generation count must be an integer, got {generations!r}") from None
-    if generations < 0:
-        raise ValueError(f"generation count must be >= 0, got {generations}")
+    generations = as_integer("generation count", generations, 0)
     _validate_rule(rule, grid.topology)
     return _generations(grid, rule, generations)
 
@@ -266,12 +263,7 @@ def classify_pattern(grid: Grid, rule: RuleSet = CONWAY_LIFE, horizon: int = 64)
     Matches are modulo translation only. A pattern that returns to itself
     after one step is a still life, never a period-1 oscillator.
     """
-    try:
-        horizon = index(horizon)
-    except TypeError:
-        raise ValueError(f"horizon must be an integer, got {horizon!r}") from None
-    if horizon < 1:
-        raise ValueError(f"horizon must be >= 1, got {horizon}")
+    horizon = as_integer("horizon", horizon, 1)
     start_canon = grid.canonicalize()
     start_box = grid.bounding_box()
     generations = run(grid, rule, horizon)

@@ -49,7 +49,6 @@ import random
 import struct
 from dataclasses import dataclass, field, replace
 from itertools import islice
-from operator import index
 from typing import Callable, Mapping, Sequence
 
 from ._shared import as_integer, weighted_index
@@ -150,12 +149,7 @@ class Frame:
     projection: frozenset[str] | None = None
 
     def __post_init__(self):
-        try:
-            index(self.scale)
-        except TypeError:
-            raise ValueError(f"scale must be an integer, got {self.scale!r}") from None
-        if self.scale < 1:
-            raise ValueError(f"scale must be >= 1, got {self.scale}")
+        as_integer("scale", self.scale, 1)
 
 
 @dataclass(frozen=True)
@@ -350,8 +344,7 @@ def run_scenario(env: Environment, ticks: int) -> tuple[Environment, list[dict]]
     """Run ``ticks`` synchronous updates, collecting one metrics row per tick:
     tick number, agent count, mean response, and mean reward (the reward is
     the response, so the two columns are equal)."""
-    if as_integer("tick count", ticks) < 0:
-        raise ValueError("tick count must be >= 0")
+    as_integer("tick count", ticks, 0)
     start, agents = env.time, len(env.agents())
     env, means = _run(env, ticks)
     return env, [

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from typing import Callable, Sequence
 
+from ._shared import as_integer
 from .cas import (Agent, AgentType, Environment, Population, Rule, Strategy, linear_rule,
                   run_scenario)
 from .evolution import Genome
@@ -21,7 +22,7 @@ def weights_from_genome(genome: Genome, n_rules: int) -> tuple[float, ...]:
     """Split a binary genome into ``n_rules`` equal chunks read as unsigned
     integers; each weight is 1 + value so no strategy is degenerate. A
     chunk whose value does not fit a float raises ValueError."""
-    if n_rules < 1 or len(genome) < n_rules:
+    if len(genome) < as_integer("rule count", n_rules, 1):
         raise ValueError("genome too short for the requested rule count")
     chunk = len(genome) // n_rules
     weights = []
@@ -43,7 +44,8 @@ def episode_fitness(
 ) -> Callable[[Genome], float]:
     """Build a GA fitness function that scores a genome by the mean reward
     of an adaptive-agent episode seeded with the decoded weights."""
-
+    as_integer("agent count", n_agents, 0)
+    as_integer("tick count", ticks, 0)
     rules = tuple(rules)
 
     def fitness(genome: Genome) -> float:

@@ -20,9 +20,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from operator import index
 from typing import Hashable, Iterable, Sequence
 
+from ._shared import as_integer
 from .grid import Grid, _state_keys
 from .grid import coarse_grain  # noqa: F401  bench/tracing.py rebinds complexity.coarse_grain
 
@@ -73,19 +73,14 @@ class ComplexityProfile:
 
 
 def _check_scales(scales: Sequence[int]) -> tuple[int, ...]:
-    """``scales`` as ints (through ``operator.index``: ints, bools, numpy
-    integers); raise ValueError unless they are an ascending divisibility
-    chain of positive integers."""
+    """``scales`` as ints (through ``_shared.as_integer``); raise
+    ValueError unless they are an ascending divisibility chain of positive
+    integers."""
     if not scales:
         raise ValueError("need at least one scale")
     chain: list[int] = []
     for s in scales:
-        try:
-            s = index(s)
-        except TypeError:
-            raise ValueError(f"scales must be integers, got {s!r}") from None
-        if s < 1:
-            raise ValueError(f"scales must be positive, got {s}")
+        s = as_integer("scale", s, 1)
         if chain and (s <= chain[-1] or s % chain[-1] != 0):
             raise ValueError(
                 f"scales must form an ascending divisibility chain, got {chain[-1]} then {s}"

@@ -20,9 +20,10 @@ of the step that diverged.
 
 A branch probability must be a number >= 0 (NaN is refused, naming the
 value), and the probabilities must sum to 1 within 1e-12. A step count
-or burn-in must be an integer (``operator.index``), and the
-two-trajectory ``delta0`` a finite number > 0; any other value is
-refused with a ``ValueError`` naming it.
+or burn-in must be an integer (``_shared.as_integer``), and the
+two-trajectory ``delta0`` a finite number > 0 that moves the companion
+off the state; any other value is refused with a ``ValueError`` naming
+it.
 """
 
 from __future__ import annotations
@@ -140,10 +141,8 @@ def _check_estimate(
     m: IterativeMap, x0: float, n: int, burn_in: int, rng: random.Random | None
 ) -> None:
     """The argument checks both exponent estimators share, in this order."""
-    if as_integer("step count", n) < 1:
-        raise ValueError(f"need n >= 1 steps, got {n}")
-    if as_integer("burn-in", burn_in) < 0:
-        raise ValueError(f"burn-in must be >= 0, got {burn_in}")
+    as_integer("step count", n, 1)
+    as_integer("burn-in", burn_in, 0)
     _check_orbit(m, x0, rng)
 
 
@@ -163,8 +162,7 @@ def iterate(m: IterativeMap, x0: float, n: int, rng: random.Random | None = None
     The only function here that materialises an orbit: the estimators
     below stream theirs in O(1) memory.
     """
-    if as_integer("step count", n) < 0:
-        raise ValueError(f"step count must be >= 0, got {n}")
+    as_integer("step count", n, 0)
     _check_orbit(m, x0, rng)
     states = [x0]
     branch_log = []
@@ -271,7 +269,9 @@ def divergence_rate_two_trajectory(
     (Benettin et al. 1980). Stochastic maps apply the same branch to both
     trajectories. Checks its arguments as ``divergence_rate`` does, then
     refuses a ``delta0`` that is not a finite number > 0, and streams the
-    orbit the same way.
+    orbit the same way. A ``delta0`` below the resolution of a state
+    places the companion on it, where every separation would be 0; that
+    raises ValueError naming ``delta0``, the state and its step.
     """
     _check_estimate(m, x0, n, burn_in, rng)
     try:
@@ -285,14 +285,19 @@ def divergence_rate_two_trajectory(
     y = x + delta0
     total = 0.0
     for t, (_, fn, _) in zip(range(burn_in + 1, burn_in + n + 1), stream):
-        x, y = fn(x), fn(y)
-        if not math.isfinite(x) or not math.isfinite(y):
-            raise DivergenceError(t, x if not math.isfinite(x) else y)
-        sep = abs(y - x)
+        fx, fy = fn(x), fn(y)
+        if not math.isfinite(fx) or not math.isfinite(fy):
+            raise DivergenceError(t, fx if not math.isfinite(fx) else fy)
+        sep = abs(fy - fx)
         if sep == 0.0:
+            # A companion placed on the state (delta0 below its resolution)
+            # merges with it at once, so only this branch can see it.
+            if y == x:
+                raise ValueError(
+                    f"delta0 {delta0!r} is below the resolution of the state {x!r} at step {t - 1}")
             total += math.log(DERIVATIVE_FLOOR)
-            y = x + delta0
+            x, y = fx, fx + delta0
             continue
         total += math.log(sep / delta0)
-        y = x + delta0 * ((y - x) / sep)
+        x, y = fx, fx + delta0 * ((fy - fx) / sep)
     return total / n

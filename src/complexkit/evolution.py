@@ -14,6 +14,8 @@ import random
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
+from ._shared import as_integer
+
 Genome = tuple[str, ...]
 
 UNEVALUATED = None
@@ -49,18 +51,15 @@ class EvolutionConfig:
     target_fitness: float | None = None
 
     def __post_init__(self):
-        if self.population_size < 2:
-            raise ValueError("population size must be >= 2")
-        if self.generations < 0:
-            raise ValueError("generations must be >= 0")
+        population_size = as_integer("population size", self.population_size, 2)
+        as_integer("generations", self.generations, 0)
         if not (0.0 <= self.mutation_rate <= 1.0 and 0.0 <= self.crossover_rate <= 1.0):
             raise ValueError("rates must lie in [0, 1]")
-        if self.tournament_size < 1 or self.tournament_size > self.population_size:
+        if as_integer("tournament size", self.tournament_size, 1) > population_size:
             raise ValueError("tournament size must lie in [1, population size]")
-        if not (0 <= self.elitism < self.population_size):
+        if as_integer("elitism count", self.elitism, 0) >= population_size:
             raise ValueError("elitism count must lie in [0, population size)")
-        if self.genome_length < 1:
-            raise ValueError("genome length must be >= 1")
+        as_integer("genome length", self.genome_length, 1)
         if len(self.alphabet) < 2 or len(set(self.alphabet)) != len(self.alphabet):
             raise ValueError("alphabet needs >= 2 distinct symbols")
 
@@ -76,8 +75,7 @@ def select(
     rng: random.Random,
 ) -> list[Individual]:
     """Pick ``k`` winners, each the fittest of a uniformly drawn tournament."""
-    if k < 1:
-        raise ValueError("must select at least one individual")
+    as_integer("selection count", k, 1)
     for ind in population:
         if ind.fitness is UNEVALUATED:
             raise ValueError("cannot select from a population with unevaluated fitness")
@@ -106,7 +104,7 @@ def crossover(
         if rng is None:
             raise ValueError("need a random stream to draw the cut point")
         point = rng.randint(1, length - 1)
-    if not (1 <= point <= length - 1):
+    elif not (1 <= as_integer("cut point", point) <= length - 1):
         raise ValueError(f"cut point must lie in [1, {length - 1}], got {point}")
     return a[:point] + b[point:], b[:point] + a[point:]
 

@@ -17,8 +17,7 @@ key that does not depend on how the set is held, and ``_state_keys``
 gives the complexity census a grid's key at each of its scales, reading a
 packed grid's layout without decoding it. ``coarse_grain`` maps a square
 grid to the grid of its blocks at one scale (``cas.observe`` uses it);
-the scale must be an integer >= 1, through ``operator.index`` as the
-coordinates are.
+the scale must be an integer >= 1, through ``_shared.as_integer``.
 """
 
 from __future__ import annotations
@@ -27,6 +26,8 @@ import enum
 import math
 from operator import index
 from typing import Collection, Hashable, Iterable, Iterator, Mapping, Sequence
+
+from ._shared import as_integer
 
 Coordinate = tuple[int, int]
 
@@ -411,12 +412,7 @@ def coarse_grain(grid: Grid, scale: int, rule: str = "any") -> Grid:
     """
     if grid.topology is not Topology.SQUARE:
         raise ValueError("coarse graining is defined for square grids only")
-    try:
-        scale = index(scale)
-    except TypeError:
-        raise ValueError(f"scale must be an integer, got {scale!r}") from None
-    if scale < 1:
-        raise ValueError(f"scale must be >= 1, got {scale}")
+    scale = as_integer("scale", scale, 1)
     if rule not in ("any", "majority"):
         raise ValueError(f"unknown coarse-graining rule: {rule!r}")
     if scale == 1:

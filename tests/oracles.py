@@ -317,7 +317,7 @@ def materialised_divergence_rate(
     warning after the loop gives their count.
     """
     if n < 1:
-        raise ValueError(f"need n >= 1 steps, got {n}")
+        raise ValueError(f"step count must be >= 1, got {n}")
     if burn_in < 0:
         raise ValueError(f"burn-in must be >= 0, got {burn_in}")
     traj = materialised_iterate(m, x0, burn_in + n, rng)
@@ -411,7 +411,7 @@ def reference_profile(history, scales):
     prev = None
     for s in scales:
         if s < 1:
-            raise ValueError(f"scales must be positive, got {s}")
+            raise ValueError(f"scale must be >= 1, got {s}")
         if prev is not None and (s <= prev or s % prev != 0):
             raise ValueError(
                 f"scales must form an ascending divisibility chain, got {prev} then {s}"

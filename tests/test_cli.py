@@ -274,8 +274,8 @@ def test_config_value_of_the_wrong_type_exits_2(tmp_path, capsys, argv, doc, mes
 
 
 @pytest.mark.parametrize("value, reason", [
-    ("0", "scales must be positive, got 0"),
-    ("-2", "scales must be positive, got -2"),
+    ("0", "scale must be >= 1, got 0"),
+    ("-2", "scale must be >= 1, got -2"),
     ("2,3", "scales must form an ascending divisibility chain, got 2 then 3"),
     ("4,2", "scales must form an ascending divisibility chain, got 4 then 2"),
     ("", "need at least one scale"),
@@ -383,9 +383,9 @@ def test_a_missing_or_malformed_input_exits_2(tmp_path, capsys, monkeypatch, arg
      "generation count must be >= 0, got -1"),
     (["life", "classify", "--pattern", "glider.rle", "--horizon", "0"],
      "horizon must be >= 1, got 0"),
-    (["ga", "run", "--gens", "-1", "--metrics", "out.csv"], "generations must be >= 0"),
+    (["ga", "run", "--gens", "-1", "--metrics", "out.csv"], "generations must be >= 0, got -1"),
     (["cas", "run", "--config", "scenario.json", "--ticks", "-1", "--metrics", "out.csv"],
-     "tick count must be >= 0"),
+     "tick count must be >= 0, got -1"),
 ], ids=["life-gens", "classify-horizon", "ga-gens", "cas-ticks"])
 def test_a_run_length_out_of_range_exits_1_and_writes_nothing(tmp_path, capsys, monkeypatch,
                                                               argv, message):

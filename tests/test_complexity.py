@@ -96,7 +96,7 @@ def test_coarse_grain_composes_for_nested_scales():
 def test_profile_refuses_a_scale_that_is_not_an_integer(scales):
     with pytest.raises(ValueError) as exc:
         complexity_profile(run(BLOCK, CONWAY_LIFE, 3), scales)
-    assert str(exc.value) == f"scales must be integers, got {scales[-1]!r}"
+    assert str(exc.value) == f"scale must be an integer, got {scales[-1]!r}"
 
 
 def test_profile_takes_integer_like_scales():

@@ -177,6 +177,18 @@ def test_two_trajectory_refuses_a_delta0_that_is_not_a_finite_number_above_zero(
         divergence_rate_two_trajectory(logistic_map(4.0), 0.3, 100, burn_in=10, delta0=delta0)
 
 
+@pytest.mark.parametrize("delta0, state, step", [
+    (1e-20, 0.043421853445318986, 10),
+    (1e-17, 0.1661455843547689, 11),
+])
+def test_two_trajectory_refuses_a_delta0_below_the_resolution_of_the_state(delta0, state, step):
+    # x + delta0 == x there, so every separation would be floored at 0.
+    with pytest.raises(ValueError) as exc:
+        divergence_rate_two_trajectory(logistic_map(4.0), 0.3, 100, burn_in=10, delta0=delta0)
+    assert str(exc.value) == (
+        f"delta0 {delta0!r} is below the resolution of the state {state!r} at step {step}")
+
+
 @pytest.mark.parametrize("call, message", [
     (lambda: divergence_rate(logistic_map(4.0), 0.3, 10.5, 0), "step count must be an integer, got 10.5"),
     (lambda: divergence_rate(logistic_map(4.0), 0.3, 10, 1.5), "burn-in must be an integer, got 1.5"),
@@ -186,8 +198,16 @@ def test_two_trajectory_refuses_a_delta0_that_is_not_a_finite_number_above_zero(
      "burn-in must be an integer, got 1.5"),
     (lambda: iterate(logistic_map(4.0), 0.3, 2.5), "step count must be an integer, got 2.5"),
     (lambda: iterate(logistic_map(4.0), 0.3, "3"), "step count must be an integer, got '3'"),
+    (lambda: divergence_rate(logistic_map(4.0), 0.3, 0, 0), "step count must be >= 1, got 0"),
+    (lambda: divergence_rate(logistic_map(4.0), 0.3, 10, -1), "burn-in must be >= 0, got -1"),
+    (lambda: divergence_rate_two_trajectory(logistic_map(4.0), 0.3, 0, 0),
+     "step count must be >= 1, got 0"),
+    (lambda: divergence_rate_two_trajectory(logistic_map(4.0), 0.3, 10, -1),
+     "burn-in must be >= 0, got -1"),
+    (lambda: iterate(logistic_map(4.0), 0.3, -1), "step count must be >= 0, got -1"),
 ], ids=["rate-n", "rate-burn-in", "two-trajectory-n", "two-trajectory-burn-in", "iterate",
-        "iterate-string"])
+        "iterate-string", "rate-n-below", "rate-burn-in-below", "two-trajectory-n-below",
+        "two-trajectory-burn-in-below", "iterate-below"])
 def test_a_step_count_that_is_not_an_integer_is_refused(call, message):
     with pytest.raises(ValueError) as exc:
         call()

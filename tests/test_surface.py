@@ -56,15 +56,15 @@ def test_public_names_are_pinned():
 # interpreter has loaded after one import says nothing about that module.
 IMPORTS = {
     "_shared": set(),
-    "grid": set(),
-    "automaton": {"grid"},
+    "grid": {"_shared"},
+    "automaton": {"_shared", "grid"},
     "patterns": {"automaton", "grid"},
-    "complexity": {"grid"},
+    "complexity": {"_shared", "grid"},
     "dynamics": {"_shared"},
     "cas": {"_shared", "grid"},
     "scenario": {"_shared", "cas", "grid"},
-    "evolution": set(),
-    "coevolve": {"cas", "evolution"},
+    "evolution": {"_shared"},
+    "coevolve": {"_shared", "cas", "evolution"},
     "cli": {"_shared", "automaton", "complexity", "coevolve", "dynamics", "evolution", "grid",
             "patterns", "scenario"},
     "__init__": {"automaton", "cas", "complexity", "coevolve", "dynamics", "evolution", "grid",
@@ -124,6 +124,23 @@ def test_private_names_cross_modules_only_where_pinned():
     assert found == PRIVATE_IMPORTS
 
 
+def test_only_shared_and_grid_use_operator_index():
+    # ``_shared.as_integer`` is the one count check; ``grid`` also takes
+    # each ``Grid`` coordinate pair through ``operator.index``, per cell.
+    users = set()
+    for name, tree in _trees().items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "operator":
+                found = any(a.name == "index" for a in node.names)
+            elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+                found = (node.value.id, node.attr) == ("operator", "index")
+            else:
+                continue
+            if found:
+                users.add(name)
+    assert users == {"_shared", "grid"}
+
+
 def test_only_grid_reads_a_grids_internal_store():
     readers = {name for name, tree in _trees().items() for node in ast.walk(tree)
                if isinstance(node, ast.Attribute) and node.attr in ("_packed", "_cells")}
@@ -131,7 +148,8 @@ def test_only_grid_reads_a_grids_internal_store():
 
 
 def test_each_shared_helper_is_defined_in_one_module():
-    homes = {"ScenarioError": "_shared", "checked": "_shared", "weighted_index": "_shared",
+    homes = {"ScenarioError": "_shared", "checked": "_shared", "as_integer": "_shared",
+             "weighted_index": "_shared",
              "coarse_grain": "grid", "_anchor_mask": "grid", "_any_blocks": "grid",
              "_state_keys": "grid", "run_scenario": "cas"}
     for path in Path(complexkit.__file__).parent.glob("*.py"):
