@@ -6,7 +6,9 @@ read every input value through ``checked``, and refuse bad input with
 ``ScenarioError``. Every engine takes each count it is given (a step,
 tick or generation count, a scale, a population or rule count) through
 ``as_integer``, the library's one integer check, which refuses a bad
-count with a ``ValueError`` in one of two forms. ``cas`` and
+count with a ``ValueError`` in one of two forms; a rate or a stimulus
+goes through ``as_real``, which refuses a value that is not a real
+number. ``cas`` and
 ``dynamics`` draw an index by weight through ``weighted_index``.
 """
 
@@ -63,6 +65,18 @@ def as_integer(what: str, value, low: int | None = None) -> int:
         raise ValueError(f"{what} must be an integer, got {value!r}") from None
     if low is not None and value < low:
         raise ValueError(f"{what} must be >= {low}, got {value}")
+    return value
+
+
+def as_real(what: str, value):
+    """``value`` unchanged if it is a real number (ints, bools, floats,
+    ``Fraction``s, numpy scalars); raise ValueError naming ``what`` and
+    the value for another type."""
+    if not isinstance(value, (int, float)):
+        import numbers  # only for the rarer real types: start-up never loads it
+
+        if not isinstance(value, numbers.Real):
+            raise ValueError(f"{what} must be a real number, got {value!r}")
     return value
 
 

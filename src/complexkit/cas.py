@@ -7,10 +7,18 @@ weight vector reinforced by the reward, which is the response itself (so
 mean reward equals mean response). Ticks are synchronous and two-phase:
 intended actions are computed from the time-t state only, then committed
 with cell conflicts going to the lowest agent id. One engine over
-per-agent lists, ``_run``, runs both ``tick`` and ``run_scenario`` (which
-``scenario`` re-exports); it passes ``Rule.apply`` the agent's history as
-a read-only sequence, valid only during the call (``Agent.memory`` is a
-tuple). The whole trajectory is a pure function of (scenario, seed).
+per-agent lists, ``_run``, runs ``tick``, ``run_scenario`` (which
+``scenario`` re-exports) and ``episode_runner``; it passes ``Rule.apply``
+the agent's history as a read-only sequence, valid only during the call
+(``Agent.memory`` is a tuple). The whole trajectory is a pure function of
+(scenario, seed). ``_run`` returns each tick's mean response and a
+function that builds the final environment, which ``tick`` and
+``run_scenario`` call. ``episode_runner`` is for short runs that repeat,
+such as the co-evolution episodes: it returns the means only, and keeps
+every tick's draws in one table keyed by (seed, start time, agent ids,
+draw layout), which a run with another key replaces. Every other run
+makes each tick's draws when it reaches that tick, so its draw memory
+stays O(agents).
 
 A reinforced weight is floored at zero, so only an infinite response, or
 a finite one that overflows the sum, can make it non-finite. The engine
@@ -258,12 +266,18 @@ def _lanes(ids: Sequence[int], js: Sequence[int]) -> Callable[[int], tuple[int, 
     return draws
 
 
-def _run(env: Environment, ticks: int) -> tuple[Environment, list[float]]:
+def _run(env: Environment, ticks: int, table: dict | None = None
+         ) -> tuple[list[float], Callable[[], Environment]]:
     """Run ``ticks`` ticks over per-agent lists kept in the output's
-    ``env.agents()`` order; returns the new environment and each tick's
-    mean response, summed in that order."""
+    ``env.agents()`` order; returns each tick's mean response, summed in
+    that order, and a function that builds the new environment.
+
+    With ``table`` (an ``episode_runner``'s), the ticks' draw rows are read
+    from it under the key (seed, start time, ids in engine order, draw
+    layout), after replacing its one entry if the key differs; without
+    it, each tick's row is drawn in turn."""
     if ticks == 0:
-        return env, []
+        return [], lambda: env
     stimulus = float(env.params.get("stimulus", 1.0))
     members = [sorted(pop.agents, key=lambda a: a.id) for pop in env.populations]
     agents = [a for pop in members for a in pop]
@@ -278,8 +292,17 @@ def _run(env: Environment, ticks: int) -> tuple[Environment, list[float]]:
     degree = len(moves)
     positions = [a.attributes.get("position") if moves else None for a in agents]
     adaptive = any(w is not None for w in weights)
-    draws = _lanes(ids, (0,) * adaptive + (1,) * bool(moves))
+    js = (0,) * adaptive + (1,) * bool(moves)
     move_at = n * adaptive  # draw 1's lanes follow draw 0's
+    times = range(env.time, env.time + ticks)
+    key = (env.seed, env.time, tuple(ids), js)
+    rows = None if table is None else table.get(key)
+    if rows is None:  # drawn tick by tick, or all at once into the table
+        draws = _lanes(ids, js)
+        rows = (draws(_counter(env.seed, time, 0)) for time in times)
+        if table is not None:
+            table.clear()
+            rows = table[key] = list(rows)
     # Each (agent, rule)'s last event with a non-zero float response. The
     # stimulus is the same every tick, so an equal response is an equal
     # event; ±0.0 compare equal and NaN equals nothing, so neither is reused.
@@ -287,8 +310,7 @@ def _run(env: Environment, ticks: int) -> tuple[Environment, list[float]]:
     targets, responses, means = [None] * n, [0.0] * n, []
     inf = math.inf
     by_id = sorted(range(n), key=ids.__getitem__)
-    for time in range(env.time, env.time + ticks):
-        z = draws(_counter(env.seed, time, 0))
+    for time, z in zip(times, rows):
         for i in range(n):
             w = weights[i]
             idx = 0 if w is None else _draw_rule(ids[i], w, (z[i] >> 11) * _UNIT)
@@ -318,18 +340,24 @@ def _run(env: Environment, ticks: int) -> tuple[Environment, list[float]]:
                 claimed.add(targets[i])
                 positions[i] = targets[i]
         means.append(sum(responses) / n if n else 0.0)
-    for i, memory in enumerate(memories):  # in place: no GC pass sees a list and its tuple
-        memories[i] = tuple(memory)
-    rebuilt = iter([
-        Agent(a.id, a.type_name, a.strategy if w is None else Strategy(a.strategy.rules, tuple(w)),
-              dict(a.attributes) if p is None else {**a.attributes, "position": p}, m)
-        for a, w, p, m in zip(agents, weights, positions, memories)
-    ])
-    populations = tuple(Population(pop.name, tuple(islice(rebuilt, len(group))))
-                        for pop, group in zip(env.populations, members))
-    if space is not None:
-        space = Grid([positions[i] for i in by_id if positions[i] is not None], space.topology)
-    return replace(env, populations=populations, space=space, time=env.time + ticks), means
+
+    def final() -> Environment:
+        for i, memory in enumerate(memories):  # in place: no GC pass sees a list and its tuple
+            memories[i] = tuple(memory)
+        rebuilt = iter([
+            Agent(a.id, a.type_name,
+                  a.strategy if w is None else Strategy(a.strategy.rules, tuple(w)),
+                  dict(a.attributes) if p is None else {**a.attributes, "position": p}, m)
+            for a, w, p, m in zip(agents, weights, positions, memories)
+        ])
+        populations = tuple(Population(pop.name, tuple(islice(rebuilt, len(group))))
+                            for pop, group in zip(env.populations, members))
+        grid = space
+        if grid is not None:
+            grid = Grid([positions[i] for i in by_id if positions[i] is not None], grid.topology)
+        return replace(env, populations=populations, space=grid, time=env.time + ticks)
+
+    return means, final
 
 
 def tick(env: Environment) -> Environment:
@@ -337,7 +365,7 @@ def tick(env: Environment) -> Environment:
     agent's response and move from the time-t state, phase 2 commits the
     moves in ascending id order, giving a contested cell to the lowest id
     (losers stay put)."""
-    return _run(env, 1)[0]
+    return _run(env, 1)[1]()
 
 
 def run_scenario(env: Environment, ticks: int) -> tuple[Environment, list[dict]]:
@@ -346,11 +374,28 @@ def run_scenario(env: Environment, ticks: int) -> tuple[Environment, list[dict]]
     the response, so the two columns are equal)."""
     as_integer("tick count", ticks, 0)
     start, agents = env.time, len(env.agents())
-    env, means = _run(env, ticks)
-    return env, [
+    means, final = _run(env, ticks)
+    return final(), [
         {"tick": start + k, "agents": agents, "mean_response": mean, "mean_reward": mean}
         for k, mean in enumerate(means, start=1)
     ]
+
+
+def episode_runner(ticks: int) -> Callable[[Environment], list[float]]:
+    """A function ``run(env)`` for short runs that repeat: each tick's mean
+    response over ``ticks`` ticks, equal to ``run_scenario(env, ticks)``'s
+    ``mean_response`` column, without building the final environment.
+
+    ``run`` keeps one table of each tick's draw row, keyed by (seed, start
+    time, agent ids in engine order, draw layout). A call with the same key
+    reuses it, and a call with another key replaces it."""
+    as_integer("tick count", ticks, 0)
+    table: dict = {}
+
+    def run(env: Environment) -> list[float]:
+        return _run(env, ticks, table)[0]
+
+    return run
 
 
 def observe(env: Environment, frame: Frame) -> Observation:

@@ -4,15 +4,23 @@ A genome is decoded into the starting weight vector of an adaptive
 strategy; its fitness is the mean reward collected over a short episode.
 Evolving such genomes co-adapts the agents' rule choices generation by
 generation.
+
+Every episode of one fitness function has the same seed, agent ids and
+ticks, so it makes the same draws: the function runs its episodes
+through one ``cas.episode_runner``, which makes them once and keeps
+them, and reads each tick's mean response without building the final
+environment. The scores are those of ``run_scenario``, bit for bit.
 """
 
 from __future__ import annotations
 
+import sys
 from typing import Callable, Sequence
 
-from ._shared import as_integer
-from .cas import (Agent, AgentType, Environment, Population, Rule, Strategy, linear_rule,
-                  run_scenario)
+from ._shared import as_integer, as_real
+from .cas import (Agent, AgentType, Environment, Population, Rule, Strategy, episode_runner,
+                  linear_rule)
+from .cas import run_scenario  # noqa: F401  bench/tracing.py rebinds coevolve.run_scenario
 from .evolution import Genome
 
 DEFAULT_RULES: tuple[Rule, ...] = (linear_rule(0.25), linear_rule(2.0))
@@ -45,7 +53,10 @@ def episode_fitness(
     """Build a GA fitness function that scores a genome by the mean reward
     of an adaptive-agent episode seeded with the decoded weights."""
     as_integer("agent count", n_agents, 0)
-    as_integer("tick count", ticks, 0)
+    run = episode_runner(ticks)
+    as_integer("episode seed", episode_seed)
+    if not abs(as_real("stimulus", stimulus)) <= sys.float_info.max:  # NaN fails too
+        raise ValueError(f"stimulus must be a finite number, got {stimulus!r}")
     rules = tuple(rules)
 
     def fitness(genome: Genome) -> float:
@@ -60,9 +71,9 @@ def episode_fitness(
             params={"stimulus": stimulus},
             types=(AgentType(name="evolved"),),
         )
-        env, metrics = run_scenario(env, ticks)
-        if not metrics:
+        means = run(env)
+        if not means:
             return 0.0
-        return sum(row["mean_reward"] for row in metrics) / len(metrics)
+        return sum(means) / len(means)
 
     return fitness

@@ -14,7 +14,7 @@ import random
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
-from ._shared import as_integer
+from ._shared import as_integer, as_real
 
 Genome = tuple[str, ...]
 
@@ -53,13 +53,16 @@ class EvolutionConfig:
     def __post_init__(self):
         population_size = as_integer("population size", self.population_size, 2)
         as_integer("generations", self.generations, 0)
-        if not (0.0 <= self.mutation_rate <= 1.0 and 0.0 <= self.crossover_rate <= 1.0):
+        if not (0.0 <= as_real("mutation rate", self.mutation_rate) <= 1.0
+                and 0.0 <= as_real("crossover rate", self.crossover_rate) <= 1.0):
             raise ValueError("rates must lie in [0, 1]")
         if as_integer("tournament size", self.tournament_size, 1) > population_size:
             raise ValueError("tournament size must lie in [1, population size]")
         if as_integer("elitism count", self.elitism, 0) >= population_size:
             raise ValueError("elitism count must lie in [0, population size)")
         as_integer("genome length", self.genome_length, 1)
+        if not isinstance(self.alphabet, str):
+            raise ValueError(f"alphabet must be a string, got {self.alphabet!r}")
         if len(self.alphabet) < 2 or len(set(self.alphabet)) != len(self.alphabet):
             raise ValueError("alphabet needs >= 2 distinct symbols")
 
@@ -76,6 +79,9 @@ def select(
 ) -> list[Individual]:
     """Pick ``k`` winners, each the fittest of a uniformly drawn tournament."""
     as_integer("selection count", k, 1)
+    if as_integer("tournament size", tournament_size, 1) > len(population):
+        raise ValueError(f"tournament size {tournament_size} exceeds the population of "
+                         f"{len(population)}")
     for ind in population:
         if ind.fitness is UNEVALUATED:
             raise ValueError("cannot select from a population with unevaluated fitness")
@@ -112,7 +118,7 @@ def crossover(
 def mutate(genome: Genome, rate: float, rng: random.Random, alphabet: str = "01") -> Genome:
     """Replace each symbol, independently with probability ``rate``, by a
     uniformly chosen different symbol."""
-    if not (0.0 <= rate <= 1.0):
+    if not (0.0 <= as_real("mutation rate", rate) <= 1.0):
         raise ValueError(f"mutation rate must lie in [0, 1], got {rate}")
     if rate == 0.0:
         return genome

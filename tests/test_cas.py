@@ -2,11 +2,13 @@ import math
 import random
 import re
 import tracemalloc
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from complexkit import cas
 from complexkit.cas import (
     Agent,
     DegenerateStrategyError,
@@ -20,6 +22,7 @@ from complexkit.cas import (
     _draw,
     _lanes,
     double_on_second_rule,
+    episode_runner,
     linear_rule,
     observe,
     reinforce,
@@ -28,6 +31,7 @@ from complexkit.cas import (
     snapshot,
     tick,
 )
+from complexkit.coevolve import episode_fitness
 from complexkit.complexity import coarse_grain
 from complexkit.grid import Grid, Topology
 from complexkit.scenario import ScenarioError, build_environment, run_scenario
@@ -282,12 +286,15 @@ RULES = (
 )
 
 
+WEIGHTS = st.sampled_from([1.0, 0.25, 2.5, 0.0])
+
+
 @st.composite
-def scenarios(draw):
+def scenarios(draw, max_agents=10):
     """Small environments: fixed and adaptive agents, zero and negative
     weights, pre-filled memory, permuted populations, and no grid or a
     crowded one with colliding claims and agents without a position."""
-    n = draw(st.integers(0, 10), label="agents")
+    n = draw(st.integers(0, max_agents), label="agents")
     ids = draw(st.permutations(range(n)), label="ids")
     topology = draw(st.sampled_from([None, Topology.SQUARE, Topology.HEX]), label="topology")
     coord = st.tuples(st.integers(0, 2), st.integers(0, 2))
@@ -297,8 +304,7 @@ def scenarios(draw):
         if len(rules) == 1 and draw(st.booleans()):
             strategy = Strategy(rules=rules)
         else:
-            weights = draw(st.lists(st.sampled_from([1.0, 0.25, 2.5, 0.0]),
-                                    min_size=len(rules), max_size=len(rules)))
+            weights = draw(st.lists(WEIGHTS, min_size=len(rules), max_size=len(rules)))
             if not any(weights) and draw(st.integers(0, 9)):
                 weights[-1] = 1.0  # keep most runs from stopping at a degenerate draw
             strategy = Strategy(rules=rules, weights=tuple(weights))
@@ -346,6 +352,90 @@ def test_engine_matches_the_replace_based_oracle(env, ticks):
     assert _outcome(run_scenario, env, ticks) == expected
     assert _outcome(lambda e, n: agent_run(e, n, tick=tick), env, ticks) == expected
     assert snapshot(env) == before
+
+
+def _mean_responses(run, env):
+    """Each tick's mean response by type and repr, or the error's type."""
+    try:
+        means = run(env)
+    except ValueError as exc:  # DegenerateStrategyError or an overflowed weight
+        return type(exc)
+    return [(type(m), repr(m)) for m in means]
+
+
+@st.composite
+def reweighted(draw, env):
+    """``env`` with new weights for its adaptive agents: the same draws."""
+    pops = []
+    for pop in env.populations:
+        agents = []
+        for a in pop.agents:
+            rules = a.strategy.rules
+            if a.strategy.adaptive:
+                weights = tuple(draw(st.lists(WEIGHTS, min_size=len(rules), max_size=len(rules))))
+                a = replace(a, strategy=Strategy(rules, weights))
+            agents.append(a)
+        pops.append(Population(pop.name, tuple(agents)))
+    return replace(env, populations=tuple(pops))
+
+
+def _shifted_ids(env, by):
+    pops = tuple(Population(pop.name, tuple(replace(a, id=a.id + by) for a in pop.agents))
+                 for pop in env.populations)
+    return replace(env, populations=pops)
+
+
+def _all_fixed(env):
+    pops = tuple(Population(pop.name, tuple(
+        replace(a, strategy=Strategy(a.strategy.rules[:1])) for a in pop.agents))
+        for pop in env.populations)
+    return replace(env, populations=pops)
+
+
+def _others(env):
+    """Environments that change one part of ``env``'s draw key (seed, start
+    time, ids, draw layout), or all of it."""
+    return st.one_of(
+        st.builds(lambda seed: replace(env, seed=seed), st.integers(-2**64, 2**64)),
+        st.builds(lambda time: replace(env, time=time), st.integers(0, 30)),
+        st.builds(lambda by: _shifted_ids(env, by), st.integers(1, 2**31)),
+        st.just(replace(env, space=None)),
+        st.just(_all_fixed(env)),
+        scenarios(max_agents=6),
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), ticks=st.integers(0, 30))
+def test_an_episode_runner_gives_run_scenarios_mean_responses(data, ticks):
+    # One runner meets each environment's draws again under new weights,
+    # then another key, then the first draws once more.
+    run = episode_runner(ticks)
+    first = data.draw(scenarios(max_agents=6), label="first")
+    other = data.draw(_others(first), label="other")
+    if data.draw(st.booleans(), label="other first"):
+        first, other = other, first
+    envs = [first, data.draw(reweighted(first), label="first, reweighted"), other,
+            data.draw(reweighted(other), label="other, reweighted"),
+            data.draw(reweighted(first), label="first again")]
+    for env in envs:
+        expected = _mean_responses(
+            lambda e: [row["mean_response"] for row in run_scenario(e, ticks)[1]], env)
+        assert _mean_responses(run, env) == expected
+
+
+def test_one_fitness_function_draws_each_ticks_row_once(monkeypatch):
+    calls = []
+
+    def counted(seed, time, agent_id, _counter=_counter):
+        calls.append((seed, time, agent_id))
+        return _counter(seed, time, agent_id)
+
+    monkeypatch.setattr(cas, "_counter", counted)
+    fitness = episode_fitness(ticks=7, episode_seed=3)
+    scores = [fitness(tuple(f"{k:016b}")) for k in range(0, 2**16, 2**12)]
+    assert len(set(scores)) > 1
+    assert calls == [(3, time, 0) for time in range(7)]
 
 
 @pytest.mark.parametrize("grid", [True, False])

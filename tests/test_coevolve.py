@@ -1,3 +1,5 @@
+import math
+
 import pytest
 
 from complexkit.coevolve import DEFAULT_RULES, episode_fitness, weights_from_genome
@@ -41,3 +43,24 @@ def test_weights_reject_a_chunk_beyond_float_range():
     assert weights_from_genome(list("1" * 1023), 1) == (float(2**1023),)
     with pytest.raises(ValueError, match="chunk of 1024 bits"):
         weights_from_genome(list("1" * 1024), 1)
+
+
+@pytest.mark.parametrize("kwargs, message", [
+    ({"episode_seed": 1.5}, "episode seed must be an integer, got 1.5"),
+    ({"episode_seed": "7"}, "episode seed must be an integer, got '7'"),
+    ({"stimulus": "1"}, "stimulus must be a real number, got '1'"),
+    ({"stimulus": math.nan}, "stimulus must be a finite number, got nan"),
+    ({"stimulus": -math.inf}, "stimulus must be a finite number, got -inf"),
+    ({"stimulus": math.inf, "n_agents": 0}, "stimulus must be a finite number, got inf"),
+    ({"stimulus": 10**400}, f"stimulus must be a finite number, got {10**400!r}"),
+])
+def test_a_bad_seed_or_stimulus_is_refused_when_the_fitness_is_built(kwargs, message):
+    with pytest.raises(ValueError) as exc:
+        episode_fitness(**kwargs)
+    assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("seed", [0, -1, 2**64, -2**70 - 3])
+def test_any_integer_episode_seed_is_accepted(seed):
+    value = episode_fitness(episode_seed=seed)(tuple("0110100101101001"))
+    assert 0.25 <= value <= 2.0

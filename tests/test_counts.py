@@ -43,6 +43,8 @@ COUNTS = [
                  None, id="elitism"),
     pytest.param(lambda v: select(POPULATION, v, 2, random.Random(0)), "selection count", 1,
                  None, id="select"),
+    pytest.param(lambda v: select(POPULATION, 2, v, random.Random(0)), "tournament size", 1,
+                 None, id="select-tournament_size"),
     pytest.param(lambda v: crossover(tuple("0101"), tuple("1010"), point=v), "cut point", 1,
                  "cut point must lie in [1, 3], got 0", id="crossover"),
     pytest.param(lambda v: weights_from_genome(tuple("0101"), v), "rule count", 1, None,

@@ -1,5 +1,6 @@
 import random
 from collections import Counter
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -172,6 +173,42 @@ def test_config_validation():
         EvolutionConfig(genome_length=8, mutation_rate=1.5)
     with pytest.raises(ValueError):
         EvolutionConfig(genome_length=8, population_size=4, tournament_size=5)
+
+
+@pytest.mark.parametrize("size", [4, 5])
+def test_select_refuses_a_tournament_larger_than_the_population(size):
+    pop = pop_with_fitness([1.0, 2.0, 3.0])
+    with pytest.raises(ValueError, match=f"^tournament size {size} exceeds the population of 3$"):
+        select(pop, 2, size, random.Random(0))
+    assert select(pop, 2, 3, random.Random(0)) == [pop[2], pop[2]]
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda: EvolutionConfig(genome_length=8, mutation_rate="0.1"),
+     "mutation rate must be a real number, got '0.1'"),
+    (lambda: EvolutionConfig(genome_length=8, crossover_rate=None),
+     "crossover rate must be a real number, got None"),
+    (lambda: EvolutionConfig(genome_length=8, mutation_rate=0.5j),
+     "mutation rate must be a real number, got 0.5j"),
+    (lambda: mutate(tuple("0101"), "0.5", random.Random(0)),
+     "mutation rate must be a real number, got '0.5'"),
+    (lambda: mutate(tuple("0101"), [0.5], random.Random(0)),
+     "mutation rate must be a real number, got [0.5]"),
+    (lambda: EvolutionConfig(genome_length=8, alphabet=5), "alphabet must be a string, got 5"),
+    (lambda: EvolutionConfig(genome_length=8, alphabet=["0", "1"]),
+     "alphabet must be a string, got ['0', '1']"),
+])
+def test_rates_and_the_alphabet_of_the_wrong_type_get_a_value_error(make, message):
+    with pytest.raises(ValueError) as exc:
+        make()
+    assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("rate", [Fraction(1, 10), True, 0])
+def test_any_real_rate_in_range_is_accepted(rate):
+    cfg = EvolutionConfig(genome_length=8, mutation_rate=rate, crossover_rate=rate)
+    assert cfg.mutation_rate is rate
+    assert len(mutate(tuple("0101"), rate, random.Random(0))) == 4
 
 
 def test_population_size_and_genome_length_invariant():
