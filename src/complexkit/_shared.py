@@ -8,14 +8,17 @@ tick or generation count, a scale, a population or rule count) through
 ``as_integer``, the library's one integer check, which refuses a bad
 count with a ``ValueError`` in one of two forms; a rate or a stimulus
 goes through ``as_real``, which refuses a value that is not a real
-number. ``cas`` and
-``dynamics`` draw an index by weight through ``weighted_index``.
+number. ``cas`` and ``dynamics`` draw an index by weight through
+``weighted_index``. Every public record class derives from ``_Record``,
+which gives it a dataclass's repr, equality, hash and immutability
+without importing ``dataclasses``.
 """
 
 from __future__ import annotations
 
 import sys
 from operator import index
+from reprlib import recursive_repr
 from typing import Mapping, Sequence
 
 
@@ -78,6 +81,47 @@ def as_real(what: str, value):
         if not isinstance(value, numbers.Real):
             raise ValueError(f"{what} must be a real number, got {value!r}")
     return value
+
+
+class _Record:
+    """An immutable record with the named fields ``_fields``, each held
+    as the attribute of that name. A subclass writes only ``__init__``,
+    whose parameters are the fields, and sets them through
+    ``self.__dict__``. Repr, equality and hash are those of a frozen
+    dataclass with those fields; ``_replace`` is ``dataclasses.replace``."""
+
+    _fields: tuple[str, ...] = ()
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    @recursive_repr()
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def _replace(self, **changes):
+        """A new record of this class with ``changes`` applied, built
+        through ``__init__``, so that its checks run again."""
+        for name in self._fields:
+            changes.setdefault(name, getattr(self, name))
+        return type(self)(**changes)
+
+    __replace__ = _replace  # copy.replace, from Python 3.13
 
 
 def weighted_index(weights: Sequence[float], total: float, u: float) -> int:

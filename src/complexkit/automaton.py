@@ -33,10 +33,9 @@ from __future__ import annotations
 
 import re
 from collections import Counter
-from dataclasses import dataclass
 from typing import Collection, Iterator
 
-from ._shared import as_integer
+from ._shared import _Record, as_integer
 from .grid import Coordinate, Grid, Topology, _decode, _pack, _ring
 
 
@@ -47,31 +46,28 @@ class RuleError(ValueError):
 _RULE_RE = re.compile(r"^B(\d*)/S(\d*)$")
 
 
-@dataclass(frozen=True)
-class RuleSet:
+class RuleSet(_Record):
     """Birth/survival neighbor-count rule with ``states`` cell states.
 
     ``states`` counts the dead state, so states=2 is a classic two-state
     rule; Conway Life is B3/S23 with states=2.
     """
 
-    birth: frozenset[int]
-    survival: frozenset[int]
-    states: int = 2
+    _fields = ("birth", "survival", "states")
 
-    def __post_init__(self):
-        object.__setattr__(self, "birth", frozenset(self.birth))
-        object.__setattr__(self, "survival", frozenset(self.survival))
+    def __init__(self, birth: Collection[int], survival: Collection[int], states: int = 2):
+        birth, survival = frozenset(birth), frozenset(survival)
         try:
-            as_integer("states", self.states, 2)
+            as_integer("states", states, 2)
         except ValueError as e:
             raise RuleError(str(e)) from None
-        for count in self.birth | self.survival:
+        for count in birth | survival:
             if not isinstance(count, int) or count < 0:
                 raise RuleError(f"neighbor counts must be non-negative ints, got {count!r}")
-        if 0 in self.birth:
+        if 0 in birth:
             # Birth on zero neighbors would light up the whole unbounded lattice.
             raise RuleError("rules with 0 in the birth set are not supported")
+        self.__dict__.update(birth=birth, survival=survival, states=states)
 
     @classmethod
     def parse(cls, text: str, states: int = 2) -> "RuleSet":
@@ -92,8 +88,7 @@ class RuleSet:
 CONWAY_LIFE = RuleSet(birth=frozenset({3}), survival=frozenset({2, 3}))
 
 
-@dataclass(frozen=True)
-class PatternClass:
+class PatternClass(_Record):
     """Classification of a pattern's long-run behavior.
 
     kind is one of "still-life", "oscillator", "spaceship", "unresolved".
@@ -101,9 +96,11 @@ class PatternClass:
     spaceships and is never (0, 0).
     """
 
-    kind: str
-    period: int | None = None
-    displacement: Coordinate | None = None
+    _fields = ("kind", "period", "displacement")
+
+    def __init__(self, kind: str, period: int | None = None,
+                 displacement: Coordinate | None = None):
+        self.__dict__.update(kind=kind, period=period, displacement=displacement)
 
     def __str__(self) -> str:
         if self.kind == "oscillator":

@@ -55,11 +55,10 @@ from __future__ import annotations
 import math
 import random
 import struct
-from dataclasses import dataclass, field, replace
 from itertools import islice
 from typing import Callable, Mapping, Sequence
 
-from ._shared import as_integer, weighted_index
+from ._shared import _Record, as_integer, as_real, weighted_index
 from .grid import Grid, coarse_grain
 
 
@@ -71,12 +70,13 @@ class FrameError(ValueError):
     """Observation frame refers to attributes no agent type declares."""
 
 
-@dataclass(frozen=True)
-class Rule:
+class Rule(_Record):
     """A stimulus-response rule; ``apply(stimulus, memory) -> response``."""
 
-    name: str
-    apply: Callable[[float, Sequence[tuple[float, float]]], float]
+    _fields = ("name", "apply")
+
+    def __init__(self, name: str, apply: Callable[[float, Sequence[tuple[float, float]]], float]):
+        self.__dict__.update(name=name, apply=apply)
 
 
 def linear_rule(gain: float) -> Rule:
@@ -89,82 +89,94 @@ def double_on_second_rule() -> Rule:
     return Rule("double-on-second", lambda s, mem: 0.0 if len(mem) % 2 == 0 else 2.0 * s)
 
 
-@dataclass(frozen=True)
-class Strategy:
+class Strategy(_Record):
     """Fixed strategies hold exactly one rule and no weights; adaptive
-    strategies hold a non-negative weight per rule."""
+    strategies hold a non-negative weight per rule. Both are kept as
+    tuples."""
 
-    rules: tuple[Rule, ...]
-    weights: tuple[float, ...] | None = None
+    _fields = ("rules", "weights")
 
-    def __post_init__(self):
-        if not self.rules:
+    def __init__(self, rules: Sequence[Rule], weights: Sequence[float] | None = None):
+        rules = tuple(rules)
+        if not rules:
             raise ValueError("a strategy needs at least one rule")
-        if self.weights is None:
-            if len(self.rules) != 1:
+        if weights is None:
+            if len(rules) != 1:
                 raise ValueError("a fixed strategy has exactly one rule")
         else:
-            if len(self.weights) != len(self.rules):
+            weights = tuple(weights)
+            if len(weights) != len(rules):
                 raise ValueError("need one weight per rule")
-            for w in self.weights:
-                if not math.isfinite(w) or w < 0:
+            for w in weights:
+                if not math.isfinite(as_real("weight", w)) or w < 0:
                     raise ValueError(f"weights must be finite and non-negative, got {w}")
+        self.__dict__.update(rules=rules, weights=weights)
 
     @property
     def adaptive(self) -> bool:
         return self.weights is not None
 
 
-@dataclass(frozen=True)
-class AgentType:
-    name: str
-    schema: tuple[tuple[str, str], ...] = ()  # (attribute, kind) pairs
+class AgentType(_Record):
+    """``schema`` holds (attribute, kind) pairs."""
+
+    _fields = ("name", "schema")
+
+    def __init__(self, name: str, schema: tuple[tuple[str, str], ...] = ()):
+        self.__dict__.update(name=name, schema=schema)
 
 
-@dataclass(frozen=True)
-class Agent:
-    id: int
-    type_name: str
-    strategy: Strategy
-    attributes: Mapping[str, object] = field(default_factory=dict)
-    memory: tuple[tuple[float, float], ...] = ()
+class Agent(_Record):
+    """``attributes`` of None, the default, is a new empty dict."""
+
+    _fields = ("id", "type_name", "strategy", "attributes", "memory")
+
+    def __init__(self, id: int, type_name: str, strategy: Strategy,
+                 attributes: Mapping[str, object] | None = None,
+                 memory: tuple[tuple[float, float], ...] = ()):
+        self.__dict__.update(id=id, type_name=type_name, strategy=strategy,
+                             attributes={} if attributes is None else attributes, memory=memory)
 
 
-@dataclass(frozen=True)
-class Population:
-    name: str
-    agents: tuple[Agent, ...]
+class Population(_Record):
+    _fields = ("name", "agents")
+
+    def __init__(self, name: str, agents: tuple[Agent, ...]):
+        self.__dict__.update(name=name, agents=agents)
 
 
-@dataclass(frozen=True)
-class Environment:
-    populations: tuple[Population, ...]
-    seed: int
-    time: int = 0
-    space: Grid | None = None
-    params: Mapping[str, object] = field(default_factory=dict)
-    types: tuple[AgentType, ...] = ()
+class Environment(_Record):
+    """``params`` of None, the default, is a new empty dict."""
+
+    _fields = ("populations", "seed", "time", "space", "params", "types")
+
+    def __init__(self, populations: tuple[Population, ...], seed: int, time: int = 0,
+                 space: Grid | None = None, params: Mapping[str, object] | None = None,
+                 types: tuple[AgentType, ...] = ()):
+        self.__dict__.update(populations=populations, seed=seed, time=time, space=space,
+                             params={} if params is None else params, types=types)
 
     def agents(self) -> list[Agent]:
         return [a for pop in self.populations for a in pop.agents]
 
 
-@dataclass(frozen=True)
-class Frame:
+class Frame(_Record):
     """Observation scale and attribute projection; projection None means all."""
 
-    scale: int = 1
-    projection: frozenset[str] | None = None
+    _fields = ("scale", "projection")
 
-    def __post_init__(self):
-        as_integer("scale", self.scale, 1)
+    def __init__(self, scale: int = 1, projection: frozenset[str] | None = None):
+        as_integer("scale", scale, 1)
+        self.__dict__.update(scale=scale, projection=projection)
 
 
-@dataclass(frozen=True)
-class Observation:
-    time: int
-    agents: tuple[tuple[int, str, tuple[tuple[str, object], ...]], ...]
-    grid: Grid | None
+class Observation(_Record):
+    _fields = ("time", "agents", "grid")
+
+    def __init__(self, time: int,
+                 agents: tuple[tuple[int, str, tuple[tuple[str, object], ...]], ...],
+                 grid: Grid | None):
+        self.__dict__.update(time=time, agents=agents, grid=grid)
 
 
 def respond(agent: Agent, stimulus: float, rule_index: int | None = None) -> tuple[float, Agent]:
@@ -174,7 +186,7 @@ def respond(agent: Agent, stimulus: float, rule_index: int | None = None) -> tup
     idx = 0 if rule_index is None else rule_index
     rule = agent.strategy.rules[idx]
     response = rule.apply(stimulus, agent.memory)
-    updated = replace(agent, memory=agent.memory + ((stimulus, response),))
+    updated = agent._replace(memory=agent.memory + ((stimulus, response),))
     return response, updated
 
 
@@ -214,7 +226,7 @@ def reinforce(agent: Agent, rule_index: int, reward: float) -> Agent:
         return agent
     weights = list(agent.strategy.weights)
     weights[rule_index] = _floor(weights[rule_index] + reward)
-    return replace(agent, strategy=replace(agent.strategy, weights=tuple(weights)))
+    return agent._replace(strategy=agent.strategy._replace(weights=tuple(weights)))
 
 
 _GAMMA = 0x9E3779B97F4A7C15  # SplitMix64's increment: 2**64 over the golden ratio, odd
@@ -355,7 +367,7 @@ def _run(env: Environment, ticks: int, table: dict | None = None
         grid = space
         if grid is not None:
             grid = Grid([positions[i] for i in by_id if positions[i] is not None], grid.topology)
-        return replace(env, populations=populations, space=grid, time=env.time + ticks)
+        return env._replace(populations=populations, space=grid, time=env.time + ticks)
 
     return means, final
 

@@ -19,10 +19,9 @@ one grid lives in ``grid`` too and is re-exported here.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Hashable, Iterable, Sequence
 
-from ._shared import as_integer
+from ._shared import _Record, as_integer
 from .grid import Grid, _state_keys
 from .grid import coarse_grain  # noqa: F401  bench/tracing.py rebinds complexity.coarse_grain
 
@@ -41,24 +40,26 @@ def theoretical_bits(num_cells: int, states: int = 2) -> float:
     return num_cells * math.log2(states)
 
 
-@dataclass(frozen=True)
-class StateCensus:
+class StateCensus(_Record):
     """Distinct-state count from a sample of snapshots at one scale."""
 
-    omega: int
-    sample_size: int
-    scale: int
+    _fields = ("omega", "sample_size", "scale")
+
+    def __init__(self, omega: int, sample_size: int, scale: int):
+        self.__dict__.update(omega=omega, sample_size=sample_size, scale=scale)
 
     @property
     def bits(self) -> float:
         return info_bits(self.omega)
 
 
-@dataclass(frozen=True)
-class ComplexityProfile:
+class ComplexityProfile(_Record):
     """Bits of observed information per observation scale, scales ascending."""
 
-    entries: tuple[StateCensus, ...]
+    _fields = ("entries",)
+
+    def __init__(self, entries: tuple[StateCensus, ...]):
+        self.__dict__.update(entries=entries)
 
     def __iter__(self):
         return iter(self.entries)

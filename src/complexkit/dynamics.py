@@ -32,11 +32,10 @@ import itertools
 import logging
 import math
 import random
-from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Iterator
+from typing import Callable, Iterator, Sequence
 
-from ._shared import as_integer, weighted_index
+from ._shared import _Record, as_integer, weighted_index
 
 log = logging.getLogger(__name__)
 
@@ -52,24 +51,27 @@ class DivergenceError(ArithmeticError):
         self.step = step
 
 
-@dataclass(frozen=True)
-class Branch:
+class Branch(_Record):
     """One map branch: the function, its derivative, and its draw probability."""
 
-    fn: Callable[[float], float]
-    deriv: Callable[[float], float]
-    probability: float = 1.0
+    _fields = ("fn", "deriv", "probability")
+
+    def __init__(self, fn: Callable[[float], float], deriv: Callable[[float], float],
+                 probability: float = 1.0):
+        self.__dict__.update(fn=fn, deriv=deriv, probability=probability)
 
 
-@dataclass(frozen=True)
-class IterativeMap:
-    branches: tuple[Branch, ...]
+class IterativeMap(_Record):
+    """A map of one or more branches, kept as a tuple."""
 
-    def __post_init__(self):
-        if not self.branches:
+    _fields = ("branches",)
+
+    def __init__(self, branches: Sequence[Branch]):
+        branches = tuple(branches)
+        if not branches:
             raise ValueError("a map needs at least one branch")
         total = 0.0
-        for b in self.branches:
+        for b in branches:
             try:
                 valid = b.probability >= 0  # False for NaN
             except TypeError:
@@ -80,6 +82,7 @@ class IterativeMap:
             total += b.probability
         if abs(total - 1.0) > 1e-12:
             raise ValueError(f"branch probabilities must sum to 1, got {total}")
+        self.__dict__.update(branches=branches)
 
     @property
     def deterministic(self) -> bool:
@@ -92,13 +95,13 @@ class IterativeMap:
 
 class _LogisticMap(IterativeMap):
     """The map ``logistic_map`` returns. It keeps ``r``, so that
-    ``divergence_rate`` can run the branch's expressions inline. It is
-    not decorated as a dataclass of its own, since each decoration adds
-    to the import time of every CLI start."""
+    ``divergence_rate`` can run the branch's expressions inline. ``r`` is
+    not a field: the repr, equality and hash are those of the map's
+    branches, as for any ``IterativeMap``."""
 
     def __init__(self, r: float):
         super().__init__((Branch(lambda x: r * x * (1.0 - x), lambda x: r * (1.0 - 2.0 * x)),))
-        object.__setattr__(self, "r", r)
+        self.__dict__["r"] = r
 
 
 def logistic_map(r: float) -> IterativeMap:
@@ -110,12 +113,13 @@ def identity_map() -> IterativeMap:
     return IterativeMap((Branch(lambda x: x, lambda x: 1.0),))
 
 
-@dataclass(frozen=True)
-class Trajectory:
+class Trajectory(_Record):
     """States x0..xn plus, for stochastic maps, the branch chosen per step."""
 
-    states: tuple[float, ...]
-    branch_log: tuple[int, ...]
+    _fields = ("states", "branch_log")
+
+    def __init__(self, states: tuple[float, ...], branch_log: tuple[int, ...]):
+        self.__dict__.update(states=states, branch_log=branch_log)
 
 
 def _branch_stream(m: IterativeMap, rng: random.Random | None) -> Iterator[tuple]:

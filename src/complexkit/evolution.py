@@ -11,10 +11,9 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
 from typing import Callable, Sequence
 
-from ._shared import as_integer, as_real
+from ._shared import _Record, as_integer, as_real
 
 Genome = tuple[str, ...]
 
@@ -29,45 +28,62 @@ class EvaluationError(ValueError):
         self.genome = genome
 
 
-@dataclass
-class Individual:
-    genome: Genome
-    fitness: float | None = UNEVALUATED
+class Individual(_Record):
+    """A genome and its fitness. Unlike the other records, it is mutable,
+    and so unhashable."""
+
+    _fields = ("genome", "fitness")
+    __setattr__ = object.__setattr__
+    __delattr__ = object.__delattr__
+    __hash__ = None
+
+    def __init__(self, genome: Genome, fitness: float | None = UNEVALUATED):
+        self.__dict__.update(genome=genome, fitness=fitness)
 
 
-@dataclass(frozen=True)
-class EvolutionConfig:
-    genome_length: int
-    population_size: int = 100
-    generations: int = 100
-    mutation_rate: float = 0.01
-    crossover_rate: float = 0.9
-    tournament_size: int = 3
-    elitism: int = 1
-    seed: int = 0
-    alphabet: str = "01"
-    # Stop as soon as some individual reaches this fitness; None runs all
-    # generations.
-    target_fitness: float | None = None
+def _check_alphabet(alphabet: str) -> None:
+    """Raise ValueError unless ``alphabet`` is a string of at least two
+    distinct symbols."""
+    if not isinstance(alphabet, str):
+        raise ValueError(f"alphabet must be a string, got {alphabet!r}")
+    if len(alphabet) < 2 or len(set(alphabet)) != len(alphabet):
+        raise ValueError("alphabet needs >= 2 distinct symbols")
 
-    def __post_init__(self):
-        population_size = as_integer("population size", self.population_size, 2)
-        as_integer("generations", self.generations, 0)
-        if not (0.0 <= as_real("mutation rate", self.mutation_rate) <= 1.0
-                and 0.0 <= as_real("crossover rate", self.crossover_rate) <= 1.0):
+
+class EvolutionConfig(_Record):
+    """The GA's settings. ``target_fitness``, unless None, stops the run as
+    soon as some individual reaches it; None runs all generations."""
+
+    _fields = ("genome_length", "population_size", "generations", "mutation_rate",
+               "crossover_rate", "tournament_size", "elitism", "seed", "alphabet",
+               "target_fitness")
+
+    def __init__(self, genome_length: int, population_size: int = 100, generations: int = 100,
+                 mutation_rate: float = 0.01, crossover_rate: float = 0.9,
+                 tournament_size: int = 3, elitism: int = 1, seed: int = 0,
+                 alphabet: str = "01", target_fitness: float | None = None):
+        size = as_integer("population size", population_size, 2)
+        as_integer("generations", generations, 0)
+        if not (0.0 <= as_real("mutation rate", mutation_rate) <= 1.0
+                and 0.0 <= as_real("crossover rate", crossover_rate) <= 1.0):
             raise ValueError("rates must lie in [0, 1]")
-        if as_integer("tournament size", self.tournament_size, 1) > population_size:
+        if as_integer("tournament size", tournament_size, 1) > size:
             raise ValueError("tournament size must lie in [1, population size]")
-        if as_integer("elitism count", self.elitism, 0) >= population_size:
+        if as_integer("elitism count", elitism, 0) >= size:
             raise ValueError("elitism count must lie in [0, population size)")
-        as_integer("genome length", self.genome_length, 1)
-        if not isinstance(self.alphabet, str):
-            raise ValueError(f"alphabet must be a string, got {self.alphabet!r}")
-        if len(self.alphabet) < 2 or len(set(self.alphabet)) != len(self.alphabet):
-            raise ValueError("alphabet needs >= 2 distinct symbols")
+        as_integer("genome length", genome_length, 1)
+        _check_alphabet(alphabet)
+        if target_fitness is not None:
+            as_real("target fitness", target_fitness)
+        self.__dict__.update(
+            genome_length=genome_length, population_size=population_size,
+            generations=generations, mutation_rate=mutation_rate, crossover_rate=crossover_rate,
+            tournament_size=tournament_size, elitism=elitism, seed=seed, alphabet=alphabet,
+            target_fitness=target_fitness)
 
 
 def random_genome(length: int, alphabet: str, rng: random.Random) -> Genome:
+    _check_alphabet(alphabet)
     return tuple(rng.choice(alphabet) for _ in range(length))
 
 
@@ -120,6 +136,7 @@ def mutate(genome: Genome, rate: float, rng: random.Random, alphabet: str = "01"
     uniformly chosen different symbol."""
     if not (0.0 <= as_real("mutation rate", rate) <= 1.0):
         raise ValueError(f"mutation rate must lie in [0, 1], got {rate}")
+    _check_alphabet(alphabet)
     if rate == 0.0:
         return genome
     out = list(genome)
@@ -130,11 +147,11 @@ def mutate(genome: Genome, rate: float, rng: random.Random, alphabet: str = "01"
     return tuple(out)
 
 
-@dataclass(frozen=True)
-class GenerationStats:
-    generation: int
-    best: float
-    mean: float
+class GenerationStats(_Record):
+    _fields = ("generation", "best", "mean")
+
+    def __init__(self, generation: int, best: float, mean: float):
+        self.__dict__.update(generation=generation, best=best, mean=mean)
 
 
 def evolve(

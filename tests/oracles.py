@@ -3,10 +3,10 @@
 The Life oracle here is a naive dense double-buffer implementation on a
 padded bounded region, written directly from the birth/survival rule
 text and sharing no code with the engines. The agent oracle is the
-original immutable tick: it rebuilds every agent with
-``dataclasses.replace`` each tick and draws from a fresh SplitMix64
-generator per agent, written here from Steele, Lea & Flood (2014) and
-sharing no engine code either. The dynamics oracle is the
+original immutable tick: it rebuilds every agent with the records'
+``_replace`` each tick and draws from a fresh SplitMix64 generator per
+agent, written here from Steele, Lea & Flood (2014) and sharing no
+engine code either. The dynamics oracle is the
 materialising Lyapunov estimator the streamed one replaced: it builds
 the whole orbit with a per-step branch choice, then reads it back. The
 colour reference is the coloured sparse Life step the engine used before
@@ -26,7 +26,6 @@ import logging
 import math
 import random
 from collections import Counter
-from dataclasses import replace
 
 import numpy as np
 
@@ -214,11 +213,11 @@ def agent_tick(env: Environment) -> Environment:
         if not math.isfinite(stimulus):
             raise ValueError(f"stimulus must be finite, got {stimulus}")
         response = strategy.rules[idx].apply(stimulus, agent.memory)
-        updated = replace(agent, memory=agent.memory + ((stimulus, response),))
+        updated = agent._replace(memory=agent.memory + ((stimulus, response),))
         if strategy.weights is not None:
             weights = list(strategy.weights)
             weights[idx] = max(0.0, weights[idx] + response)
-            updated = replace(updated, strategy=replace(strategy, weights=tuple(weights)))
+            updated = updated._replace(strategy=strategy._replace(weights=tuple(weights)))
         target = None
         if env.space is not None and "position" in updated.attributes:
             x, y = updated.attributes["position"]
@@ -236,7 +235,7 @@ def agent_tick(env: Environment) -> Environment:
             claimed.add(target)
             attrs = dict(updated.attributes)
             attrs["position"] = target
-            updated = replace(updated, attributes=attrs)
+            updated = updated._replace(attributes=attrs)
         committed[aid] = updated
 
     populations = tuple(
@@ -252,7 +251,7 @@ def agent_tick(env: Environment) -> Environment:
             a.attributes["position"] for a in committed.values() if "position" in a.attributes
         ]
         space = Grid(occupied, topology=space.topology)
-    return replace(env, populations=populations, space=space, time=env.time + 1)
+    return env._replace(populations=populations, space=space, time=env.time + 1)
 
 
 def agent_run(env: Environment, ticks: int, tick=agent_tick):

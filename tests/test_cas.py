@@ -2,7 +2,6 @@ import math
 import random
 import re
 import tracemalloc
-from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -373,33 +372,33 @@ def reweighted(draw, env):
             rules = a.strategy.rules
             if a.strategy.adaptive:
                 weights = tuple(draw(st.lists(WEIGHTS, min_size=len(rules), max_size=len(rules))))
-                a = replace(a, strategy=Strategy(rules, weights))
+                a = a._replace(strategy=Strategy(rules, weights))
             agents.append(a)
         pops.append(Population(pop.name, tuple(agents)))
-    return replace(env, populations=tuple(pops))
+    return env._replace(populations=tuple(pops))
 
 
 def _shifted_ids(env, by):
-    pops = tuple(Population(pop.name, tuple(replace(a, id=a.id + by) for a in pop.agents))
+    pops = tuple(Population(pop.name, tuple(a._replace(id=a.id + by) for a in pop.agents))
                  for pop in env.populations)
-    return replace(env, populations=pops)
+    return env._replace(populations=pops)
 
 
 def _all_fixed(env):
     pops = tuple(Population(pop.name, tuple(
-        replace(a, strategy=Strategy(a.strategy.rules[:1])) for a in pop.agents))
+        a._replace(strategy=Strategy(a.strategy.rules[:1])) for a in pop.agents))
         for pop in env.populations)
-    return replace(env, populations=pops)
+    return env._replace(populations=pops)
 
 
 def _others(env):
     """Environments that change one part of ``env``'s draw key (seed, start
     time, ids, draw layout), or all of it."""
     return st.one_of(
-        st.builds(lambda seed: replace(env, seed=seed), st.integers(-2**64, 2**64)),
-        st.builds(lambda time: replace(env, time=time), st.integers(0, 30)),
+        st.builds(lambda seed: env._replace(seed=seed), st.integers(-2**64, 2**64)),
+        st.builds(lambda time: env._replace(time=time), st.integers(0, 30)),
         st.builds(lambda by: _shifted_ids(env, by), st.integers(1, 2**31)),
-        st.just(replace(env, space=None)),
+        st.just(env._replace(space=None)),
         st.just(_all_fixed(env)),
         scenarios(max_agents=6),
     )

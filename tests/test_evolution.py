@@ -197,10 +197,30 @@ def test_select_refuses_a_tournament_larger_than_the_population(size):
     (lambda: EvolutionConfig(genome_length=8, alphabet=5), "alphabet must be a string, got 5"),
     (lambda: EvolutionConfig(genome_length=8, alphabet=["0", "1"]),
      "alphabet must be a string, got ['0', '1']"),
+    (lambda: EvolutionConfig(genome_length=4, generations=2, target_fitness="x"),
+     "target fitness must be a real number, got 'x'"),
 ])
 def test_rates_and_the_alphabet_of_the_wrong_type_get_a_value_error(make, message):
     with pytest.raises(ValueError) as exc:
         make()
+    assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("alphabet, message", [
+    ("0", "alphabet needs >= 2 distinct symbols"),
+    ("00", "alphabet needs >= 2 distinct symbols"),
+    ("", "alphabet needs >= 2 distinct symbols"),
+    (5, "alphabet must be a string, got 5"),
+])
+@pytest.mark.parametrize("make", [
+    lambda alphabet: EvolutionConfig(genome_length=8, alphabet=alphabet),
+    lambda alphabet: mutate(("0", "1"), 0.5, random.Random(0), alphabet=alphabet),
+    lambda alphabet: mutate(("0", "1"), 0.0, random.Random(0), alphabet=alphabet),
+    lambda alphabet: random_genome(4, alphabet, random.Random(0)),
+], ids=["EvolutionConfig", "mutate", "mutate-rate-0", "random_genome"])
+def test_each_entry_point_checks_its_alphabet(make, alphabet, message):
+    with pytest.raises(ValueError) as exc:
+        make(alphabet)
     assert str(exc.value) == message
 
 
