@@ -130,8 +130,10 @@ def weighted_index(weights: Sequence[float], total: float, u: float) -> int:
     rounding past the last cumulative weight picks the last index."""
     u *= total
     acc = 0.0
-    for i, w in enumerate(weights):
+    i = 0
+    for w in weights:  # a counter, not enumerate: this is the agent tick's inner loop
         acc += w
         if u < acc:
             return i
-    return len(weights) - 1
+        i += 1
+    return i - 1

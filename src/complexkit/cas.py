@@ -7,18 +7,19 @@ weight vector reinforced by the reward, which is the response itself (so
 mean reward equals mean response). Ticks are synchronous and two-phase:
 intended actions are computed from the time-t state only, then committed
 with cell conflicts going to the lowest agent id. One engine over
-per-agent lists, ``_run``, runs ``tick``, ``run_scenario`` (which
+per-agent lists, ``_prepare``, runs ``tick``, ``run_scenario`` (which
 ``scenario`` re-exports) and ``episode_runner``; it passes ``Rule.apply``
 the agent's history as a read-only sequence, valid only during the call
 (``Agent.memory`` is a tuple). The whole trajectory is a pure function of
-(scenario, seed). ``_run`` returns each tick's mean response and a
-function that builds the final environment, which ``tick`` and
-``run_scenario`` call. ``episode_runner`` is for short runs that repeat,
-such as the co-evolution episodes: it returns the means only, and keeps
-every tick's draws in one table keyed by (seed, start time, agent ids,
-draw layout), which a run with another key replaces. Every other run
-makes each tick's draws when it reaches that tick, so its draw memory
-stays O(agents).
+(scenario, seed). ``_prepare`` reads a run's fixed part from the
+environment once (agent order, rules, stimulus, draw layout) and returns
+a function that runs the ticks from given start weights: ``tick`` and
+``run_scenario`` call it once and build the final environment.
+``episode_runner`` is for short runs that repeat with new weights, such
+as the co-evolution episodes: it makes every tick's draws once, and each
+run returns the means only, building no record. Every other run makes
+each tick's draws when it reaches that tick, so its draw memory stays
+O(agents).
 
 A reinforced weight is floored at zero, so only an infinite response, or
 a finite one that overflows the sum, can make it non-finite. The engine
@@ -38,7 +39,9 @@ rule through ``u = (z >> 11) * 2**-53``, and draw 1 the move as
 ``len(moves) / 2**64``, with no rejection loop. The engine makes each
 tick's draws for all agents in one pass over a big int holding one
 128-bit lane per agent and draw (``_lanes``); they are the numbers the
-scalar ``_draw(_counter(seed, time, id), j)`` gives.
+scalar ``_draw(_counter(seed, time, id), j)`` gives. The tick's row then
+holds them as ready values, each agent's ``u`` and step, so the
+per-agent loop only reads them.
 
 An agent's history repeats one event tuple while a rule's non-zero float
 response stays the same, so ``Agent.memory`` may hold one tuple object
@@ -105,16 +108,22 @@ class Strategy(_Record):
                 raise ValueError("a fixed strategy has exactly one rule")
         else:
             weights = tuple(weights)
-            if len(weights) != len(rules):
-                raise ValueError("need one weight per rule")
-            for w in weights:
-                if not math.isfinite(as_real("weight", w)) or w < 0:
-                    raise ValueError(f"weights must be finite and non-negative, got {w}")
+            _check_weights(len(rules), weights)
         self.__dict__.update(rules=rules, weights=weights)
 
     @property
     def adaptive(self) -> bool:
         return self.weights is not None
+
+
+def _check_weights(count: int, weights: tuple[float, ...]) -> None:
+    """Refuse an adaptive weight vector unless it holds ``count`` finite,
+    non-negative real numbers."""
+    if len(weights) != count:
+        raise ValueError("need one weight per rule")
+    for w in weights:
+        if not math.isfinite(as_real("weight", w)) or w < 0:
+            raise ValueError(f"weights must be finite and non-negative, got {w}")
 
 
 class AgentType(_Record):
@@ -195,18 +204,6 @@ def _check_stimulus(stimulus: float) -> None:
         raise ValueError(f"stimulus must be finite, got {stimulus}")
 
 
-def _floor(weight: float) -> float:
-    """A reinforced weight, floored at zero (NaN and -0.0 give 0.0)."""
-    return weight if weight > 0.0 else 0.0
-
-
-def _draw_rule(agent_id: int, weights: Sequence[float], u: float) -> int:
-    total = sum(weights)
-    if total <= 0.0:
-        raise DegenerateStrategyError(f"agent {agent_id} has an all-zero weight vector")
-    return weighted_index(weights, total, u)
-
-
 def select_rule(agent: Agent, context: float, rng: random.Random) -> int:
     """Fixed strategies always pick rule 0; adaptive strategies draw an index
     proportionally to their current weights, from one ``rng.random()``.
@@ -217,7 +214,12 @@ def select_rule(agent: Agent, context: float, rng: random.Random) -> int:
     adaptive agent may get another rule here than in the engine.
     """
     weights = agent.strategy.weights
-    return 0 if weights is None else _draw_rule(agent.id, weights, rng.random())
+    if weights is None:
+        return 0
+    total = sum(weights)
+    if total <= 0.0:
+        raise DegenerateStrategyError(f"agent {agent.id} has an all-zero weight vector")
+    return weighted_index(weights, total, rng.random())
 
 
 def reinforce(agent: Agent, rule_index: int, reward: float) -> Agent:
@@ -225,7 +227,8 @@ def reinforce(agent: Agent, rule_index: int, reward: float) -> Agent:
     if not agent.strategy.adaptive:
         return agent
     weights = list(agent.strategy.weights)
-    weights[rule_index] = _floor(weights[rule_index] + reward)
+    weight = weights[rule_index] + reward
+    weights[rule_index] = weight if weight > 0.0 else 0.0  # NaN and -0.0 give 0.0
     return agent._replace(strategy=agent.strategy._replace(weights=tuple(weights)))
 
 
@@ -278,98 +281,108 @@ def _lanes(ids: Sequence[int], js: Sequence[int]) -> Callable[[int], tuple[int, 
     return draws
 
 
-def _run(env: Environment, ticks: int, table: dict | None = None
-         ) -> tuple[list[float], Callable[[], Environment]]:
-    """Run ``ticks`` ticks over per-agent lists kept in the output's
-    ``env.agents()`` order; returns each tick's mean response, summed in
+def _prepare(env: Environment, ticks: int, keep_rows: bool = False
+             ) -> Callable[[Sequence[float] | None], tuple[list[float], Callable[[], Environment]]]:
+    """The fixed part of ``ticks`` ticks from ``env``: returns ``run(weights)``,
+    which runs them over per-agent lists kept in the output's
+    ``env.agents()`` order, every adaptive agent starting from ``weights``
+    or, if None, its own, and returns each tick's mean response, summed in
     that order, and a function that builds the new environment.
 
-    With ``table`` (an ``episode_runner``'s), the ticks' draw rows are read
-    from it under the key (seed, start time, ids in engine order, draw
-    layout), after replacing its one entry if the key differs; without
-    it, each tick's row is drawn in turn."""
-    if ticks == 0:
-        return [], lambda: env
+    A tick's draw row holds its ready values: each agent's ``u`` and each
+    agent's step. With ``keep_rows`` every row is made here, once, and each
+    run reads them; without, a run makes each row when it reaches its tick."""
     stimulus = float(env.params.get("stimulus", 1.0))
     members = [sorted(pop.agents, key=lambda a: a.id) for pop in env.populations]
     agents = [a for pop in members for a in pop]
     n, space = len(agents), env.space
-    if n:
+    if n and ticks:
         _check_stimulus(stimulus)
     ids = [a.id for a in agents]
-    rules = [a.strategy.rules for a in agents]
-    weights = [None if a.strategy.weights is None else list(a.strategy.weights) for a in agents]
-    memories = [list(a.memory) for a in agents]
+    applies = [[rule.apply for rule in a.strategy.rules] for a in agents]
+    own = [a.strategy.weights for a in agents]
     moves = () if space is None else space.topology.offsets
     degree = len(moves)
-    positions = [a.attributes.get("position") if moves else None for a in agents]
-    adaptive = any(w is not None for w in weights)
-    js = (0,) * adaptive + (1,) * bool(moves)
-    move_at = n * adaptive  # draw 1's lanes follow draw 0's
+    start = [a.attributes.get("position") if moves else None for a in agents]
+    movers = sorted((i for i in range(n) if start[i] is not None), key=ids.__getitem__)
+    drawn = n * any(w is not None for w in own)  # draw 1's lanes follow draw 0's
+    draws = _lanes(ids, (0,) * bool(drawn) + (1,) * bool(moves))
     times = range(env.time, env.time + ticks)
-    key = (env.seed, env.time, tuple(ids), js)
-    rows = None if table is None else table.get(key)
-    if rows is None:  # drawn tick by tick, or all at once into the table
-        draws = _lanes(ids, js)
-        rows = (draws(_counter(env.seed, time, 0)) for time in times)
-        if table is not None:
-            table.clear()
-            rows = table[key] = list(rows)
-    # Each (agent, rule)'s last event with a non-zero float response. The
-    # stimulus is the same every tick, so an equal response is an equal
-    # event; ±0.0 compare equal and NaN equals nothing, so neither is reused.
-    events = [[None] * len(r) for r in rules]
-    targets, responses, means = [None] * n, [0.0] * n, []
+
+    def row(time: int) -> tuple[list[float], list[tuple[int, int]]]:
+        z = draws(_counter(env.seed, time, 0))
+        return ([(v >> 11) * _UNIT for v in z[:drawn]],
+                [moves[(v * degree) >> 64] for v in z[drawn:]])
+
+    kept = [row(time) for time in times] if keep_rows else None
     inf = math.inf
-    by_id = sorted(range(n), key=ids.__getitem__)
-    for time, z in zip(times, rows):
-        for i in range(n):
-            w = weights[i]
-            idx = 0 if w is None else _draw_rule(ids[i], w, (z[i] >> 11) * _UNIT)
-            memory = memories[i]
-            responses[i] = r = rules[i][idx].apply(stimulus, memory)
-            if type(r) is float and r:
-                event = events[i][idx]
-                if event is None or event[1] != r:
-                    event = events[i][idx] = (stimulus, r)
-            else:
-                event = (stimulus, r)
-            memory.append(event)
-            if w is not None:
-                w[idx] = weight = _floor(w[idx] + r)
-                if weight == inf:
-                    raise ValueError(f"agent {ids[i]} rule {idx}: reinforced weight overflowed "
-                                     f"to inf in tick {time + 1}")
-            if positions[i] is not None:
-                x, y = positions[i]
-                dx, dy = moves[(z[move_at + i] * degree) >> 64]
-                targets[i] = (x + dx, y + dy)
-        claimed = set()
-        for i in by_id:
-            if targets[i] is not None:
-                if targets[i] in claimed:
-                    targets[i] = tuple(positions[i])
-                claimed.add(targets[i])
-                positions[i] = targets[i]
-        means.append(sum(responses) / n if n else 0.0)
 
-    def final() -> Environment:
-        for i, memory in enumerate(memories):  # in place: no GC pass sees a list and its tuple
-            memories[i] = tuple(memory)
-        rebuilt = iter([
-            Agent(a.id, a.type_name,
-                  a.strategy if w is None else Strategy(a.strategy.rules, tuple(w)),
-                  dict(a.attributes) if p is None else {**a.attributes, "position": p}, m)
-            for a, w, p, m in zip(agents, weights, positions, memories)
-        ])
-        populations = tuple(Population(pop.name, tuple(islice(rebuilt, len(group))))
-                            for pop, group in zip(env.populations, members))
-        grid = space
-        if grid is not None:
-            grid = Grid([positions[i] for i in by_id if positions[i] is not None], grid.topology)
-        return env._replace(populations=populations, space=grid, time=env.time + ticks)
+    def run(vector: Sequence[float] | None) -> tuple[list[float], Callable[[], Environment]]:
+        weights = [None if w is None else list(w if vector is None else vector) for w in own]
+        memories = [list(a.memory) for a in agents]
+        positions = list(start)
+        # Each (agent, rule)'s last event with a non-zero float response. The
+        # stimulus is the same every tick, so an equal response is an equal
+        # event; ±0.0 compare equal and NaN equals nothing, so neither is reused.
+        events = [[None] * len(calls) for calls in applies]
+        responses, means = [0.0] * n, []
+        for time, (us, steps) in zip(times, map(row, times) if kept is None else kept):
+            for i in range(n):
+                w = weights[i]
+                if w is None:
+                    idx = 0
+                else:
+                    total = sum(w)  # not a running total: 3.12's sum is compensated
+                    if total <= 0.0:
+                        raise DegenerateStrategyError(
+                            f"agent {ids[i]} has an all-zero weight vector")
+                    idx = weighted_index(w, total, us[i])
+                memory = memories[i]
+                responses[i] = r = applies[i][idx](stimulus, memory)
+                if type(r) is float and r:
+                    event = events[i][idx]
+                    if event is None or event[1] != r:
+                        event = events[i][idx] = (stimulus, r)
+                else:
+                    event = (stimulus, r)
+                memory.append(event)
+                if w is not None:
+                    weight = w[idx] + r
+                    w[idx] = weight = weight if weight > 0.0 else 0.0  # NaN and -0.0 give 0.0
+                    if weight == inf:
+                        raise ValueError(f"agent {ids[i]} rule {idx}: reinforced weight "
+                                         f"overflowed to inf in tick {time + 1}")
+            if movers:  # phase 2: each mover's own time-t cell plus its step, by id
+                claimed = set()
+                for i in movers:
+                    x, y = positions[i]
+                    dx, dy = steps[i]
+                    target = (x + dx, y + dy)
+                    if target in claimed:
+                        target = tuple(positions[i])
+                    claimed.add(target)
+                    positions[i] = target
+            means.append(sum(responses) / n if n else 0.0)
 
-    return means, final
+        def final() -> Environment:
+            for i, memory in enumerate(memories):  # in place: no GC pass sees a list and its tuple
+                memories[i] = tuple(memory)
+            rebuilt = iter([
+                Agent(a.id, a.type_name,
+                      a.strategy if w is None else Strategy(a.strategy.rules, tuple(w)),
+                      dict(a.attributes) if p is None else {**a.attributes, "position": p}, m)
+                for a, w, p, m in zip(agents, weights, positions, memories)
+            ])
+            populations = tuple(Population(pop.name, tuple(islice(rebuilt, len(group))))
+                                for pop, group in zip(env.populations, members))
+            grid = space
+            if grid is not None:
+                grid = Grid([positions[i] for i in movers], grid.topology)
+            return env._replace(populations=populations, space=grid, time=env.time + ticks)
+
+        return means, final
+
+    return run
 
 
 def tick(env: Environment) -> Environment:
@@ -377,37 +390,42 @@ def tick(env: Environment) -> Environment:
     agent's response and move from the time-t state, phase 2 commits the
     moves in ascending id order, giving a contested cell to the lowest id
     (losers stay put)."""
-    return _run(env, 1)[1]()
+    return _prepare(env, 1)(None)[1]()
 
 
 def run_scenario(env: Environment, ticks: int) -> tuple[Environment, list[dict]]:
     """Run ``ticks`` synchronous updates, collecting one metrics row per tick:
     tick number, agent count, mean response, and mean reward (the reward is
     the response, so the two columns are equal)."""
-    as_integer("tick count", ticks, 0)
+    if not as_integer("tick count", ticks, 0):
+        return env, []
     start, agents = env.time, len(env.agents())
-    means, final = _run(env, ticks)
+    means, final = _prepare(env, ticks)(None)
     return final(), [
         {"tick": start + k, "agents": agents, "mean_response": mean, "mean_reward": mean}
         for k, mean in enumerate(means, start=1)
     ]
 
 
-def episode_runner(ticks: int) -> Callable[[Environment], list[float]]:
-    """A function ``run(env)`` for short runs that repeat: each tick's mean
-    response over ``ticks`` ticks, equal to ``run_scenario(env, ticks)``'s
-    ``mean_response`` column, without building the final environment.
-
-    ``run`` keeps one table of each tick's draw row, keyed by (seed, start
-    time, agent ids in engine order, draw layout). A call with the same key
-    reuses it, and a call with another key replaces it."""
+def episode_runner(env: Environment, ticks: int) -> Callable[[Sequence[float]], list[float]]:
+    """A function ``run(weights)`` for short runs of ``env`` that repeat
+    with new weights: each tick's mean response over ``ticks`` ticks with
+    every adaptive agent starting from ``weights``, which ``run`` checks as
+    ``Strategy`` does. It equals ``run_scenario``'s ``mean_response`` column
+    for that environment, but builds neither it nor the final one: the
+    agents' order, rules and memories, the stimulus and every tick's draw
+    row are prepared here, once."""
     as_integer("tick count", ticks, 0)
-    table: dict = {}
+    run = _prepare(env, ticks, keep_rows=True)
+    counts = {len(a.strategy.rules) for a in env.agents() if a.strategy.adaptive}
 
-    def run(env: Environment) -> list[float]:
-        return _run(env, ticks, table)[0]
+    def episode(weights: Sequence[float]) -> list[float]:
+        weights = tuple(weights)
+        for count in counts:
+            _check_weights(count, weights)
+        return run(weights)[0]
 
-    return run
+    return episode
 
 
 def observe(env: Environment, frame: Frame) -> Observation:

@@ -5,11 +5,13 @@ strategy; its fitness is the mean reward collected over a short episode.
 Evolving such genomes co-adapts the agents' rule choices generation by
 generation.
 
-Every episode of one fitness function has the same seed, agent ids and
-ticks, so it makes the same draws: the function runs its episodes
-through one ``cas.episode_runner``, which makes them once and keeps
-them, and reads each tick's mean response without building the final
-environment. The scores are those of ``run_scenario``, bit for bit.
+Every episode of one fitness function has the same seed, agents, rules,
+stimulus and ticks, so only the starting weights differ: the function
+builds its environment once and runs every episode through one
+``cas.episode_runner``, which prepares the fixed part and the draws once.
+A genome then supplies only its weight vector, and its score is read from
+each tick's mean response without building any record. The scores are
+those of ``run_scenario``, bit for bit.
 """
 
 from __future__ import annotations
@@ -53,27 +55,20 @@ def episode_fitness(
     """Build a GA fitness function that scores a genome by the mean reward
     of an adaptive-agent episode seeded with the decoded weights."""
     as_integer("agent count", n_agents, 0)
-    run = episode_runner(ticks)
+    as_integer("tick count", ticks, 0)
     as_integer("episode seed", episode_seed)
     if not abs(as_real("stimulus", stimulus)) <= sys.float_info.max:  # NaN fails too
         raise ValueError(f"stimulus must be a finite number, got {stimulus!r}")
     rules = tuple(rules)
+    as_integer("rule count", len(rules), 1)  # what weights_from_genome refuses for every genome
+    strategy = Strategy(rules, (1.0,) * len(rules))
+    agents = tuple(Agent(i, "evolved", strategy) for i in range(n_agents))
+    run = episode_runner(Environment((Population("evolved", agents),), episode_seed,
+                                     params={"stimulus": stimulus},
+                                     types=(AgentType("evolved"),)), ticks)
 
     def fitness(genome: Genome) -> float:
-        weights = weights_from_genome(genome, len(rules))
-        strategy = Strategy(rules=rules, weights=weights)
-        agents = tuple(
-            Agent(id=i, type_name="evolved", strategy=strategy) for i in range(n_agents)
-        )
-        env = Environment(
-            populations=(Population(name="evolved", agents=agents),),
-            seed=episode_seed,
-            params={"stimulus": stimulus},
-            types=(AgentType(name="evolved"),),
-        )
-        means = run(env)
-        if not means:
-            return 0.0
-        return sum(means) / len(means)
+        means = run(weights_from_genome(genome, len(rules)))
+        return sum(means) / len(means) if means else 0.0
 
     return fitness

@@ -84,7 +84,7 @@ class EvolutionConfig(_Record):
 
 def random_genome(length: int, alphabet: str, rng: random.Random) -> Genome:
     _check_alphabet(alphabet)
-    return tuple(rng.choice(alphabet) for _ in range(length))
+    return tuple(rng.choice(alphabet) for _ in range(as_integer("genome length", length, 0)))
 
 
 def select(

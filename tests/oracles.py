@@ -19,17 +19,32 @@ complexity profile as it was measured on cell dicts: each generation
 coarse-grained by the public ``coarse_grain``, and each observed state
 kept as a ``Grid`` in a per-scale set. The classify reference is
 ``classify_pattern`` as it was with a separate still-life check at the
-first generation and a guard against a zero shift.
+first generation and a guard against a zero shift. The weighted draw
+reference is ``weighted_index`` as it was with an ``enumerate`` scan,
+and the episode reference is ``episode_fitness`` as it was before it
+prepared its episodes: it builds the records of every genome's episode
+and averages ``run_scenario``'s ``mean_response`` column.
 """
 
 import logging
 import math
 import random
+import sys
 from collections import Counter
 
 import numpy as np
 
-from complexkit.cas import DegenerateStrategyError, Environment, Population
+from complexkit._shared import as_integer, as_real
+from complexkit.cas import (
+    Agent,
+    AgentType,
+    DegenerateStrategyError,
+    Environment,
+    Population,
+    Strategy,
+    run_scenario,
+)
+from complexkit.coevolve import weights_from_genome
 from complexkit.dynamics import (
     DERIVATIVE_FLOOR,
     DivergenceError,
@@ -457,3 +472,46 @@ def reference_classify(grid: Grid, rule: RuleSet = CONWAY_LIFE, horizon: int = 6
             if d != (0, 0):
                 return PatternClass(kind="spaceship", period=k, displacement=d)
     return PatternClass(kind="unresolved")
+
+
+def enumerate_weighted_index(weights, total, u):
+    """``weighted_index`` with its ``enumerate`` scan, verbatim."""
+    u *= total
+    acc = 0.0
+    for i, w in enumerate(weights):
+        acc += w
+        if u < acc:
+            return i
+    return len(weights) - 1
+
+
+def records_episode_fitness(rules, n_agents=5, ticks=20, episode_seed=7, stimulus=1.0):
+    """``episode_fitness`` as it was before it prepared its episodes: the
+    same checks when it is built, then per genome a ``Strategy``, its
+    agents and an ``Environment``, and the mean of ``run_scenario``'s
+    ``mean_response`` column."""
+    as_integer("agent count", n_agents, 0)
+    as_integer("tick count", ticks, 0)
+    as_integer("episode seed", episode_seed)
+    if not abs(as_real("stimulus", stimulus)) <= sys.float_info.max:
+        raise ValueError(f"stimulus must be a finite number, got {stimulus!r}")
+    rules = tuple(rules)
+
+    def fitness(genome):
+        weights = weights_from_genome(genome, len(rules))
+        strategy = Strategy(rules=rules, weights=weights)
+        agents = tuple(
+            Agent(id=i, type_name="evolved", strategy=strategy) for i in range(n_agents)
+        )
+        env = Environment(
+            populations=(Population(name="evolved", agents=agents),),
+            seed=episode_seed,
+            params={"stimulus": stimulus},
+            types=(AgentType(name="evolved"),),
+        )
+        means = [row["mean_response"] for row in run_scenario(env, ticks)[1]]
+        if not means:
+            return 0.0
+        return sum(means) / len(means)
+
+    return fitness

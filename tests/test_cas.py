@@ -4,10 +4,11 @@ import re
 import tracemalloc
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from complexkit import cas
+from complexkit._shared import weighted_index
 from complexkit.cas import (
     Agent,
     DegenerateStrategyError,
@@ -35,7 +36,7 @@ from complexkit.complexity import coarse_grain
 from complexkit.grid import Grid, Topology
 from complexkit.scenario import ScenarioError, build_environment, run_scenario
 
-from oracles import agent_run
+from oracles import agent_run, enumerate_weighted_index
 
 SCENARIO = {
     "seed": 99,
@@ -362,65 +363,41 @@ def _mean_responses(run, env):
     return [(type(m), repr(m)) for m in means]
 
 
-@st.composite
-def reweighted(draw, env):
-    """``env`` with new weights for its adaptive agents: the same draws."""
-    pops = []
-    for pop in env.populations:
-        agents = []
-        for a in pop.agents:
-            rules = a.strategy.rules
-            if a.strategy.adaptive:
-                weights = tuple(draw(st.lists(WEIGHTS, min_size=len(rules), max_size=len(rules))))
-                a = a._replace(strategy=Strategy(rules, weights))
-            agents.append(a)
-        pops.append(Population(pop.name, tuple(agents)))
-    return env._replace(populations=tuple(pops))
-
-
-def _shifted_ids(env, by):
-    pops = tuple(Population(pop.name, tuple(a._replace(id=a.id + by) for a in pop.agents))
-                 for pop in env.populations)
-    return env._replace(populations=pops)
-
-
-def _all_fixed(env):
+def _reweighted(env, k, weights):
+    """``env`` with every adaptive agent on ``k`` of its rules, cycled, and
+    on ``weights``."""
     pops = tuple(Population(pop.name, tuple(
-        a._replace(strategy=Strategy(a.strategy.rules[:1])) for a in pop.agents))
-        for pop in env.populations)
+        a._replace(strategy=Strategy((a.strategy.rules * k)[:k], weights))
+        if a.strategy.adaptive else a for a in pop.agents)) for pop in env.populations)
     return env._replace(populations=pops)
-
-
-def _others(env):
-    """Environments that change one part of ``env``'s draw key (seed, start
-    time, ids, draw layout), or all of it."""
-    return st.one_of(
-        st.builds(lambda seed: env._replace(seed=seed), st.integers(-2**64, 2**64)),
-        st.builds(lambda time: env._replace(time=time), st.integers(0, 30)),
-        st.builds(lambda by: _shifted_ids(env, by), st.integers(1, 2**31)),
-        st.just(env._replace(space=None)),
-        st.just(_all_fixed(env)),
-        scenarios(max_agents=6),
-    )
 
 
 @settings(max_examples=150, deadline=None)
-@given(data=st.data(), ticks=st.integers(0, 30))
-def test_an_episode_runner_gives_run_scenarios_mean_responses(data, ticks):
-    # One runner meets each environment's draws again under new weights,
-    # then another key, then the first draws once more.
-    run = episode_runner(ticks)
-    first = data.draw(scenarios(max_agents=6), label="first")
-    other = data.draw(_others(first), label="other")
-    if data.draw(st.booleans(), label="other first"):
-        first, other = other, first
-    envs = [first, data.draw(reweighted(first), label="first, reweighted"), other,
-            data.draw(reweighted(other), label="other, reweighted"),
-            data.draw(reweighted(first), label="first again")]
-    for env in envs:
+@given(data=st.data(), ticks=st.integers(0, 30), k=st.integers(1, 3))
+def test_an_episode_runner_gives_run_scenarios_mean_responses(data, ticks, k):
+    # One runner meets its environment's draws again under new weights,
+    # then the first weights once more.
+    env = _reweighted(data.draw(scenarios(max_agents=6), label="env"), k, (1.0,) * k)
+    run = episode_runner(env, ticks)
+    vectors = st.lists(WEIGHTS, min_size=k, max_size=k).map(tuple)
+    first = data.draw(vectors, label="first")
+    for weights in [first, data.draw(vectors, label="second"), first]:
         expected = _mean_responses(
-            lambda e: [row["mean_response"] for row in run_scenario(e, ticks)[1]], env)
-        assert _mean_responses(run, env) == expected
+            lambda e: [row["mean_response"] for row in run_scenario(e, ticks)[1]],
+            _reweighted(env, k, weights))
+        assert _mean_responses(lambda e: run(weights), env) == expected
+
+
+def test_an_episode_runner_checks_its_weights_as_a_strategy_does():
+    agents = (adaptive_agent([1, 1]), fixed_agent(agent_id=1))
+    run = episode_runner(Environment((Population("p", agents),), seed=1), 3)
+    for weights in [(1.0,), (1.0, 2.0, 3.0), (1.0, -1.0), (math.inf, 1.0), ("1", 1.0)]:
+        with pytest.raises(ValueError) as strategy:
+            Strategy(agents[0].strategy.rules, weights)
+        with pytest.raises(ValueError) as runner:
+            run(weights)
+        assert str(runner.value) == str(strategy.value)
+    assert run([2, 1.0]) == run((2.0, 1.0))
 
 
 def test_one_fitness_function_draws_each_ticks_row_once(monkeypatch):
@@ -487,6 +464,32 @@ EDGE_IDS = [0, 1, 4095, 1_000_003 - 2048, 1_000_003, 1_000_003 + 2047, 2**32 - 1
 def test_lane_draws_equal_the_scalar_stream(seed, time, ids, js):
     draws = _lanes(ids, js)(_counter(seed, time, 0))
     assert list(draws) == [_draw(_counter(seed, time, i), j) for j in js for i in ids]
+
+
+UNIT_DRAWS = st.one_of(
+    st.sampled_from([0.0, 0.5, 1 - 2**-53]),
+    st.integers(0, 2**53 - 1).map(lambda k: k * 2**-53),  # the engine's u
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(weights=st.lists(st.one_of(st.sampled_from([0.0, 1.0, 0.1, 1e-16, 1e308]),
+                                  st.floats(0, 1e6)), max_size=6),
+       u=UNIT_DRAWS)
+@example(weights=[], u=0.5)
+@example(weights=[0.0, 0.0], u=0.5)
+@example(weights=[1.0, 1e-16, 1e-16], u=1 - 2**-53)
+@example(weights=[0.1] * 10, u=1 - 2**-53)
+def test_weighted_index_matches_the_enumerate_scan(weights, u):
+    # The total as the engine takes it, with sum, which 3.12 compensates.
+    total = sum(weights)
+    assert weighted_index(weights, total, u) == enumerate_weighted_index(weights, total, u)
+
+
+def test_a_draw_past_the_last_cumulative_weight_picks_the_last_index():
+    for weights, total, u, last in [([1.0, 0.0], 2.0, 0.9, 1), ([], 1.0, 0.0, -1)]:
+        assert weighted_index(weights, total, u) == enumerate_weighted_index(weights, total, u)
+        assert weighted_index(weights, total, u) == last
 
 
 class Tagged(float):

@@ -112,6 +112,16 @@ def test_stochastic_map_records_branch_log():
         assert traj.states[i + 1] == x
 
 
+def test_a_stochastic_branch_log_is_pinned():
+    # Recorded before weighted_index dropped its enumerate scan; the
+    # zero-probability branch 1 is never drawn.
+    branches = [Branch(lambda x, k=k: x + k, lambda x: 1.0, p)
+                for k, p in ((1, 0.2), (10, 0.0), (100, 0.5), (1000, 0.3))]
+    traj = iterate(IterativeMap(branches), 0.0, 40, rng=random.Random(2024))
+    assert "".join(map(str, traj.branch_log)) == "2323232232233232332323302202203322222232"
+    assert traj.states[-1] == 17203.0
+
+
 def test_identity_lambda_is_exactly_zero():
     assert divergence_rate(identity_map(), 0.7, 1000, burn_in=0) == 0.0
 

@@ -224,6 +224,21 @@ def test_each_entry_point_checks_its_alphabet(make, alphabet, message):
     assert str(exc.value) == message
 
 
+@pytest.mark.parametrize("length, message", [
+    (2.5, "genome length must be an integer, got 2.5"),
+    ("4", "genome length must be an integer, got '4'"),
+    (-1, "genome length must be >= 0, got -1"),
+])
+def test_random_genome_refuses_a_length_that_is_not_a_count(length, message):
+    with pytest.raises(ValueError) as exc:
+        random_genome(length, "01", random.Random(0))
+    assert str(exc.value) == message
+
+
+def test_random_genome_of_length_zero_is_empty():
+    assert random_genome(0, "01", random.Random(0)) == ()
+
+
 @pytest.mark.parametrize("rate", [Fraction(1, 10), True, 0])
 def test_any_real_rate_in_range_is_accepted(rate):
     cfg = EvolutionConfig(genome_length=8, mutation_rate=rate, crossover_rate=rate)
