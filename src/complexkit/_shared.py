@@ -6,9 +6,13 @@ read every input value through ``checked``, and refuse bad input with
 ``ScenarioError``. Every engine takes each count it is given (a step,
 tick or generation count, a scale, a population or rule count) through
 ``as_integer``, the library's one integer check, which refuses a bad
-count with a ``ValueError`` in one of two forms; a rate or a stimulus
-goes through ``as_real``, which refuses a value that is not a real
-number. ``cas`` and ``dynamics`` draw an index by weight through
+count with a ``ValueError`` in one of two forms. Every real argument
+that must be finite (a rate, weight, probability, stimulus, gain, ``r``,
+``x0`` or ``delta0``) goes through ``as_finite``, the one finite-number
+check, which refuses a value that is not a real number, one that is not
+finite and one outside its bounds, each with its own message; only
+``EvolutionConfig.target_fitness`` is checked for type alone, through
+``as_real``. ``cas`` and ``dynamics`` draw an index by weight through
 ``weighted_index``. Every public record class derives from ``_Record``,
 which gives it a dataclass's repr, equality, hash and immutability
 without importing ``dataclasses``.
@@ -80,6 +84,19 @@ def as_real(what: str, value):
 
         if not isinstance(value, numbers.Real):
             raise ValueError(f"{what} must be a real number, got {value!r}")
+    return value
+
+
+def as_finite(what: str, value, low=None, high=None):
+    """``value`` unchanged if it is a real number (``as_real``) that fits a
+    finite float and lies in ``[low, high]`` (either bound may be None);
+    raise ValueError naming ``what`` and the value otherwise."""
+    if not abs(as_real(what, value)) <= sys.float_info.max:  # NaN fails too
+        raise ValueError(f"{what} must be a finite number, got {value!r}")
+    if (low is not None and value < low) or (high is not None and value > high):
+        bound = (f"be >= {low}" if high is None else f"be <= {high}" if low is None
+                 else f"lie in [{low}, {high}]")
+        raise ValueError(f"{what} must {bound}, got {value!r}")
     return value
 
 

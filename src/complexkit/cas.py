@@ -31,8 +31,9 @@ Random draws come from a counter-based SplitMix64 stream (Steele, Lea &
 Flood 2014), not from a seeded generator. With ``mix`` SplitMix64's
 finaliser, each agent-tick has the 64-bit counter
 ``mix(seed) + ((time << 32) + id) * 0xD1B54A32D192ED03`` (all mod 2**64),
-which is injective in (time, id) for 0 <= time, id < 2**32, so draws do
-not depend on the order in which agents are visited. Draw ``j`` is
+which is injective in (time, id) for 0 <= time, id < 2**32 (the engine
+refuses a start time, tick count or agent id outside that domain), so
+draws do not depend on the order in which agents are visited. Draw ``j`` is
 ``z = mix(counter + (j + 1) * 0x9E3779B97F4A7C15)``: draw 0 picks the
 rule through ``u = (z >> 11) * 2**-53``, and draw 1 the move as
 ``moves[(z * len(moves)) >> 64]``, whose bias is at most
@@ -61,7 +62,7 @@ import struct
 from itertools import islice
 from typing import Callable, Mapping, Sequence
 
-from ._shared import _Record, as_integer, as_real, weighted_index
+from ._shared import _Record, as_finite, as_integer, weighted_index
 from .grid import Grid, coarse_grain
 
 
@@ -83,6 +84,7 @@ class Rule(_Record):
 
 
 def linear_rule(gain: float) -> Rule:
+    as_finite("gain", gain)
     return Rule(f"linear[{gain}]", lambda s, mem: gain * s)
 
 
@@ -122,8 +124,7 @@ def _check_weights(count: int, weights: tuple[float, ...]) -> None:
     if len(weights) != count:
         raise ValueError("need one weight per rule")
     for w in weights:
-        if not math.isfinite(as_real("weight", w)) or w < 0:
-            raise ValueError(f"weights must be finite and non-negative, got {w}")
+        as_finite("weight", w, 0)
 
 
 class AgentType(_Record):
@@ -191,17 +192,12 @@ class Observation(_Record):
 def respond(agent: Agent, stimulus: float, rule_index: int | None = None) -> tuple[float, Agent]:
     """Apply the selected rule to (stimulus, memory); returns the response and
     the agent with the event appended to memory."""
-    _check_stimulus(stimulus)
+    as_finite("stimulus", stimulus)
     idx = 0 if rule_index is None else rule_index
     rule = agent.strategy.rules[idx]
     response = rule.apply(stimulus, agent.memory)
     updated = agent._replace(memory=agent.memory + ((stimulus, response),))
     return response, updated
-
-
-def _check_stimulus(stimulus: float) -> None:
-    if not math.isfinite(stimulus):
-        raise ValueError(f"stimulus must be finite, got {stimulus}")
 
 
 def select_rule(agent: Agent, context: float, rng: random.Random) -> int:
@@ -291,13 +287,18 @@ def _prepare(env: Environment, ticks: int, keep_rows: bool = False
 
     A tick's draw row holds its ready values: each agent's ``u`` and each
     agent's step. With ``keep_rows`` every row is made here, once, and each
-    run reads them; without, a run makes each row when it reaches its tick."""
-    stimulus = float(env.params.get("stimulus", 1.0))
+    run reads them; without, a run makes each row when it reaches its tick.
+    It checks the stimulus, the seed, the time and each agent id first."""
+    stimulus = float(as_finite("stimulus", env.params.get("stimulus", 1.0)))
+    seed = as_integer("seed", env.seed)
+    if as_integer("time", env.time, 0) + ticks > 1 << 32:
+        raise ValueError(f"time + tick count must be <= {1 << 32}, got {env.time + ticks}")
+    for a in env.agents():
+        if as_integer("agent id", a.id, 0) >= 1 << 32:
+            raise ValueError(f"agent id must be < {1 << 32}, got {a.id}")
     members = [sorted(pop.agents, key=lambda a: a.id) for pop in env.populations]
     agents = [a for pop in members for a in pop]
     n, space = len(agents), env.space
-    if n and ticks:
-        _check_stimulus(stimulus)
     ids = [a.id for a in agents]
     applies = [[rule.apply for rule in a.strategy.rules] for a in agents]
     own = [a.strategy.weights for a in agents]
@@ -310,7 +311,7 @@ def _prepare(env: Environment, ticks: int, keep_rows: bool = False
     times = range(env.time, env.time + ticks)
 
     def row(time: int) -> tuple[list[float], list[tuple[int, int]]]:
-        z = draws(_counter(env.seed, time, 0))
+        z = draws(_counter(seed, time, 0))
         return ([(v >> 11) * _UNIT for v in z[:drawn]],
                 [moves[(v * degree) >> 64] for v in z[drawn:]])
 
@@ -412,11 +413,12 @@ def episode_runner(env: Environment, ticks: int) -> Callable[[Sequence[float]], 
     with new weights: each tick's mean response over ``ticks`` ticks with
     every adaptive agent starting from ``weights``, which ``run`` checks as
     ``Strategy`` does. It equals ``run_scenario``'s ``mean_response`` column
-    for that environment, but builds neither it nor the final one: the
-    agents' order, rules and memories, the stimulus and every tick's draw
-    row are prepared here, once."""
+    for that environment, but builds neither it nor the final one, and
+    moves no agent, since the means read no position: the agents' order,
+    rules and memories, the stimulus and every tick's rule draws are
+    prepared here, once, from ``env`` without its grid."""
     as_integer("tick count", ticks, 0)
-    run = _prepare(env, ticks, keep_rows=True)
+    run = _prepare(env._replace(space=None), ticks, keep_rows=True)
     counts = {len(a.strategy.rules) for a in env.agents() if a.strategy.adaptive}
 
     def episode(weights: Sequence[float]) -> list[float]:

@@ -220,7 +220,7 @@ def _load_pattern(args) -> tuple[Grid, RuleSet]:
     if states is not None:
         rule = RuleSet(birth=rule.birth, survival=rule.survival, states=states)
     if topology is Topology.HEX:
-        grid = Grid(grid.cells, topology=topology)
+        grid = Grid._trusted(dict(grid.cells), topology)
     return grid, rule
 
 

@@ -16,10 +16,9 @@ those of ``run_scenario``, bit for bit.
 
 from __future__ import annotations
 
-import sys
 from typing import Callable, Sequence
 
-from ._shared import as_integer, as_real
+from ._shared import as_finite, as_integer
 from .cas import (Agent, AgentType, Environment, Population, Rule, Strategy, episode_runner,
                   linear_rule)
 from .cas import run_scenario  # noqa: F401  bench/tracing.py rebinds coevolve.run_scenario
@@ -57,8 +56,7 @@ def episode_fitness(
     as_integer("agent count", n_agents, 0)
     as_integer("tick count", ticks, 0)
     as_integer("episode seed", episode_seed)
-    if not abs(as_real("stimulus", stimulus)) <= sys.float_info.max:  # NaN fails too
-        raise ValueError(f"stimulus must be a finite number, got {stimulus!r}")
+    as_finite("stimulus", stimulus)
     rules = tuple(rules)
     as_integer("rule count", len(rules), 1)  # what weights_from_genome refuses for every genome
     strategy = Strategy(rules, (1.0,) * len(rules))

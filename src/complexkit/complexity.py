@@ -28,16 +28,12 @@ from .grid import coarse_grain  # noqa: F401  bench/tracing.py rebinds complexit
 
 def info_bits(omega: int) -> float:
     """Bits of information for a system with ``omega`` distinct states."""
-    if omega < 1:
-        raise ValueError(f"state count must be >= 1, got {omega}")
-    return math.log2(omega)
+    return math.log2(as_integer("state count", omega, 1))
 
 
 def theoretical_bits(num_cells: int, states: int = 2) -> float:
     """Upper bound in bits for a bounded region: log2(states ** num_cells)."""
-    if num_cells < 0 or states < 1:
-        raise ValueError("need num_cells >= 0 and states >= 1")
-    return num_cells * math.log2(states)
+    return as_integer("cell count", num_cells, 0) * math.log2(as_integer("state count", states, 1))
 
 
 class StateCensus(_Record):

@@ -18,12 +18,13 @@ burn-in and once after the last step; if either is not finite, the
 generic loop runs again from ``x0`` and raises the ``DivergenceError``
 of the step that diverged.
 
-A branch probability must be a number >= 0 (NaN is refused, naming the
-value), and the probabilities must sum to 1 within 1e-12. A step count
-or burn-in must be an integer (``_shared.as_integer``), and the
-two-trajectory ``delta0`` a finite number > 0 that moves the companion
-off the state; any other value is refused with a ``ValueError`` naming
-it.
+A branch probability must be a finite number >= 0, and the
+probabilities must sum to 1 within 1e-12. ``logistic_map``'s ``r``,
+``x0`` and the two-trajectory ``delta0`` must be finite numbers
+(``_shared.as_finite``), and ``delta0`` also > 0 and large enough to move
+the companion off the state. A step count or burn-in must be an integer
+(``_shared.as_integer``). Any other value is refused with a
+``ValueError`` naming it.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ import random
 from functools import cached_property
 from typing import Callable, Iterator, Sequence
 
-from ._shared import _Record, as_integer, weighted_index
+from ._shared import _Record, as_finite, as_integer, weighted_index
 
 log = logging.getLogger(__name__)
 
@@ -72,14 +73,7 @@ class IterativeMap(_Record):
             raise ValueError("a map needs at least one branch")
         total = 0.0
         for b in branches:
-            try:
-                valid = b.probability >= 0  # False for NaN
-            except TypeError:
-                valid = False
-            if not valid:
-                raise ValueError(
-                    f"branch probabilities must be numbers >= 0, got {b.probability!r}")
-            total += b.probability
+            total += as_finite("branch probability", b.probability, 0)
         if abs(total - 1.0) > 1e-12:
             raise ValueError(f"branch probabilities must sum to 1, got {total}")
         self.__dict__.update(branches=branches)
@@ -106,7 +100,7 @@ class _LogisticMap(IterativeMap):
 
 def logistic_map(r: float) -> IterativeMap:
     """x -> r*x*(1-x), derivative r*(1-2x)."""
-    return _LogisticMap(r)
+    return _LogisticMap(as_finite("r", r))
 
 
 def identity_map() -> IterativeMap:
@@ -135,8 +129,7 @@ def _branch_stream(m: IterativeMap, rng: random.Random | None) -> Iterator[tuple
 
 
 def _check_orbit(m: IterativeMap, x0: float, rng: random.Random | None) -> None:
-    if not math.isfinite(x0):
-        raise ValueError(f"x0 must be finite, got {x0}")
+    as_finite("x0", x0)
     if not m.deterministic and rng is None:
         raise ValueError("stochastic maps need a random stream")
 
@@ -278,11 +271,7 @@ def divergence_rate_two_trajectory(
     raises ValueError naming ``delta0``, the state and its step.
     """
     _check_estimate(m, x0, n, burn_in, rng)
-    try:
-        valid = 0.0 < delta0 < math.inf  # False for NaN
-    except TypeError:
-        valid = False
-    if not valid:
+    if not as_finite("delta0", delta0) > 0:
         raise ValueError(f"delta0 must be a finite number > 0, got {delta0!r}")
     stream = _branch_stream(m, rng)
     x = _burn_in(x0, burn_in, stream)

@@ -13,7 +13,7 @@ import math
 import random
 from typing import Callable, Sequence
 
-from ._shared import _Record, as_integer, as_real
+from ._shared import _Record, as_finite, as_integer, as_real
 
 Genome = tuple[str, ...]
 
@@ -64,9 +64,8 @@ class EvolutionConfig(_Record):
                  alphabet: str = "01", target_fitness: float | None = None):
         size = as_integer("population size", population_size, 2)
         as_integer("generations", generations, 0)
-        if not (0.0 <= as_real("mutation rate", mutation_rate) <= 1.0
-                and 0.0 <= as_real("crossover rate", crossover_rate) <= 1.0):
-            raise ValueError("rates must lie in [0, 1]")
+        as_finite("mutation rate", mutation_rate, 0, 1)
+        as_finite("crossover rate", crossover_rate, 0, 1)
         if as_integer("tournament size", tournament_size, 1) > size:
             raise ValueError("tournament size must lie in [1, population size]")
         if as_integer("elitism count", elitism, 0) >= size:
@@ -134,8 +133,7 @@ def crossover(
 def mutate(genome: Genome, rate: float, rng: random.Random, alphabet: str = "01") -> Genome:
     """Replace each symbol, independently with probability ``rate``, by a
     uniformly chosen different symbol."""
-    if not (0.0 <= as_real("mutation rate", rate) <= 1.0):
-        raise ValueError(f"mutation rate must lie in [0, 1], got {rate}")
+    as_finite("mutation rate", rate, 0, 1)
     _check_alphabet(alphabet)
     if rate == 0.0:
         return genome

@@ -334,7 +334,7 @@ class Grid:
 
     @classmethod
     def _trusted(cls, store: dict[Coordinate, int] | _Packed, topology: Topology) -> "Grid":
-        """Wrap engine output without re-validating it. ``store`` is either a
+        """Wrap library output without re-validating it. ``store`` is either a
         dict that maps int coordinate pairs to positive int states, which
         the new grid takes ownership of, or a packed layout whose set bits
         are cells of state 1. Input from outside the library goes through

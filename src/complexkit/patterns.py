@@ -88,7 +88,7 @@ def _decode_rle(text: str) -> tuple[Grid, RuleSet | None]:
                 y += n
                 x = 0
             elif ch == "!":
-                return Grid(cells), rule
+                return Grid._trusted(cells, Topology.SQUARE), rule
             else:
                 raise PatternFormatError(f"unknown symbol {ch!r}", li + 1, col)
     raise PatternFormatError("missing '!' terminator", len(lines), 1)
@@ -161,7 +161,7 @@ def _decode_plaintext(text: str) -> tuple[Grid, RuleSet | None]:
             else:
                 raise PatternFormatError(f"unknown symbol {ch!r}", li + 1, ci + 1)
         y += 1
-    return Grid(cells), None
+    return Grid._trusted(cells, Topology.SQUARE), None
 
 
 def _encode_plaintext(grid: Grid) -> str:

@@ -226,7 +226,7 @@ def agent_tick(env: Environment) -> Environment:
                     idx = i
                     break
         if not math.isfinite(stimulus):
-            raise ValueError(f"stimulus must be finite, got {stimulus}")
+            raise ValueError(f"stimulus must be a finite number, got {stimulus!r}")
         response = strategy.rules[idx].apply(stimulus, agent.memory)
         updated = agent._replace(memory=agent.memory + ((stimulus, response),))
         if strategy.weights is not None:
@@ -300,7 +300,7 @@ def materialised_iterate(
     if n < 0:
         raise ValueError(f"step count must be >= 0, got {n}")
     if not math.isfinite(x0):
-        raise ValueError(f"x0 must be finite, got {x0}")
+        raise ValueError(f"x0 must be a finite number, got {x0!r}")
     if not m.deterministic and rng is None:
         raise ValueError("stochastic maps need a random stream")
     states = [x0]

@@ -400,6 +400,51 @@ def test_an_episode_runner_checks_its_weights_as_a_strategy_does():
     assert run([2, 1.0]) == run((2.0, 1.0))
 
 
+def test_an_episode_runner_moves_no_agent():
+    # Its means read no position, so it runs the environment without its
+    # grid: a position that a move would have to unpack is never read.
+    agents = (Agent(0, "t", adaptive_agent([1, 1]).strategy, {"position": "nowhere"}),)
+    env = Environment((Population("p", agents),), seed=1, space=Grid([(0, 0)]))
+    expected = [row["mean_response"] for row in run_scenario(env._replace(space=None), 3)[1]]
+    assert episode_runner(env, 3)((1.0, 1.0)) == expected
+
+
+@pytest.mark.parametrize("change, ticks, message", [
+    ({"seed": "1"}, 1, "seed must be an integer, got '1'"),
+    ({"seed": 1.5}, 2, "seed must be an integer, got 1.5"),
+    ({"time": -1}, 1, "time must be >= 0, got -1"),
+    ({"time": 0.5}, 1, "time must be an integer, got 0.5"),
+    ({"time": 2**32 - 2}, 3, "time + tick count must be <= 4294967296, got 4294967297"),
+    ({"time": 2**32}, 1, "time + tick count must be <= 4294967296, got 4294967297"),
+    ({"id": -1}, 1, "agent id must be >= 0, got -1"),
+    ({"id": "0"}, 1, "agent id must be an integer, got '0'"),
+    ({"id": 2**32}, 3, "agent id must be < 4294967296, got 4294967296"),
+], ids=["str-seed", "float-seed", "negative-time", "float-time", "time-past-2**32",
+        "time-at-2**32", "negative-id", "str-id", "id-2**32"])
+def test_the_engine_refuses_a_seed_time_or_id_outside_its_counters_domain(change, ticks,
+                                                                          message):
+    # (time << 32) + id is injective only for 0 <= time, id < 2**32: an
+    # agent with id 2**32 would draw agent 0's numbers of the next tick.
+    fields = {"seed": 1, **{k: v for k, v in change.items() if k != "id"}}
+    env = Environment((Population("p", (adaptive_agent([1, 1], change.get("id", 0)),)),),
+                      **fields)
+    runs = [lambda: run_scenario(env, ticks), lambda: episode_runner(env, ticks)]
+    if ticks == 1:
+        runs.append(lambda: tick(env))
+    for run in runs:
+        with pytest.raises(ValueError) as exc:
+            run()
+        assert str(exc.value) == message
+
+
+def test_the_engine_accepts_the_last_time_and_id_of_its_counters_domain():
+    agents = (adaptive_agent([1, 1], 2**32 - 1), adaptive_agent([1, 1], 0))
+    env = Environment((Population("p", agents),), seed=1, time=2**32 - 3)
+    out, metrics = run_scenario(env, 3)
+    assert [row["tick"] for row in metrics] == [2**32 - 2, 2**32 - 1, 2**32]
+    assert out.time == 2**32
+
+
 def test_one_fitness_function_draws_each_ticks_row_once(monkeypatch):
     calls = []
 
@@ -539,7 +584,7 @@ def test_a_weight_that_overflows_raises_in_its_tick_like_the_oracle(big):
     engine, oracle = [], []
     with pytest.raises(ValueError) as raised:
         run_scenario(recorded(engine), 500)
-    with pytest.raises(ValueError, match="weights must be finite"):
+    with pytest.raises(ValueError, match="weight must be a finite number"):
         agent_run(recorded(oracle), 500)
     assert engine == oracle
     # Every agent starts with an empty memory, so the last call's history
@@ -549,7 +594,8 @@ def test_a_weight_that_overflows_raises_in_its_tick_like_the_oracle(big):
 
 
 def test_fixed_agents_record_an_infinite_response_as_it_is():
-    env = Environment((Population("p", (fixed_agent(0, linear_rule(math.inf)),)),), seed=1)
+    infinite = Rule("infinite", lambda s, mem: math.inf)  # linear_rule refuses an infinite gain
+    env = Environment((Population("p", (fixed_agent(0, infinite),)),), seed=1)
     out, metrics = run_scenario(env, 3)
     assert [row["mean_response"] for row in metrics] == [math.inf] * 3
     assert out.agents()[0].memory == ((1.0, math.inf),) * 3

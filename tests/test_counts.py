@@ -10,8 +10,8 @@ import pytest
 
 from complexkit import (CONWAY_LIFE, Environment, EvolutionConfig, Frame, Grid, Individual,
                         RuleError, RuleSet, classify_pattern, coarse_grain, complexity_profile,
-                        crossover, episode_fitness, run, run_scenario, select,
-                        weights_from_genome)
+                        crossover, episode_fitness, info_bits, run, run_scenario, select,
+                        theoretical_bits, weights_from_genome)
 
 BLOCK = Grid([(0, 0), (1, 0), (0, 1), (1, 1)])
 POPULATION = [Individual(("0",), 1.0), Individual(("1",), 2.0)]
@@ -53,6 +53,10 @@ COUNTS = [
                  id="episode_fitness-n_agents"),
     pytest.param(lambda v: episode_fitness(ticks=v), "tick count", 0, None,
                  id="episode_fitness-ticks"),
+    pytest.param(info_bits, "state count", 1, None, id="info_bits"),
+    pytest.param(theoretical_bits, "cell count", 0, None, id="theoretical_bits"),
+    pytest.param(lambda v: theoretical_bits(4, v), "state count", 1, None,
+                 id="theoretical_bits-states"),
 ]
 
 

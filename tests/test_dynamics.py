@@ -89,14 +89,18 @@ def test_branch_probabilities_validated():
         IterativeMap(())
 
 
-@pytest.mark.parametrize("probabilities", [(math.nan, 1.0), (math.nan,), (-0.5, 1.5), ("1",)],
-                         ids=["nan-and-one", "nan-alone", "negative", "string"])
-def test_a_probability_that_is_not_a_number_at_least_zero_is_refused(probabilities):
+@pytest.mark.parametrize("probabilities, message", [
+    ((math.nan, 1.0), "branch probability must be a finite number, got nan"),
+    ((math.nan,), "branch probability must be a finite number, got nan"),
+    ((-0.5, 1.5), "branch probability must be >= 0, got -0.5"),
+    (("1",), "branch probability must be a real number, got '1'"),
+], ids=["nan-and-one", "nan-alone", "negative", "string"])
+def test_a_probability_that_is_not_a_number_at_least_zero_is_refused(probabilities, message):
     # NaN fails every comparison, so neither a "< 0" test nor the sum test refuses it.
     branches = tuple(Branch(lambda x: x, lambda x: 1.0, p) for p in probabilities)
     with pytest.raises(ValueError) as exc:
         IterativeMap(branches)
-    assert str(exc.value) == f"branch probabilities must be numbers >= 0, got {probabilities[0]!r}"
+    assert str(exc.value) == message
 
 
 def test_stochastic_map_records_branch_log():
@@ -177,14 +181,21 @@ def test_two_trajectory_rejects_negative_burn_in():
 
 
 def test_two_trajectory_rejects_nonfinite_start():
-    with pytest.raises(ValueError, match="x0 must be finite, got nan"):
+    with pytest.raises(ValueError, match="x0 must be a finite number, got nan"):
         divergence_rate_two_trajectory(logistic_map(4.0), float("nan"), 1000)
 
 
-@pytest.mark.parametrize("delta0", [0.0, -1e-9, math.nan, math.inf, "1e-9"])
-def test_two_trajectory_refuses_a_delta0_that_is_not_a_finite_number_above_zero(delta0):
-    with pytest.raises(ValueError, match=r"^delta0 must be a finite number > 0, got "):
+@pytest.mark.parametrize("delta0, message", [
+    (0.0, "delta0 must be a finite number > 0, got 0.0"),
+    (-1e-9, "delta0 must be a finite number > 0, got -1e-09"),
+    (math.nan, "delta0 must be a finite number, got nan"),
+    (math.inf, "delta0 must be a finite number, got inf"),
+    ("1e-9", "delta0 must be a real number, got '1e-9'"),
+], ids=["0.0", "-1e-09", "nan", "inf", "1e-9"])
+def test_two_trajectory_refuses_a_delta0_that_is_not_a_finite_number_above_zero(delta0, message):
+    with pytest.raises(ValueError) as exc:
         divergence_rate_two_trajectory(logistic_map(4.0), 0.3, 100, burn_in=10, delta0=delta0)
+    assert str(exc.value) == message
 
 
 @pytest.mark.parametrize("delta0, state, step", [
@@ -350,7 +361,12 @@ def test_floor_warning_matches_the_oracle():
 def test_inline_logistic_divergence_rate_matches_the_materialised_oracle(r, x0, n, burn_in, seed):
     # divergence_rate steps logistic_map(r) with its expressions written
     # inline, checking finiteness at the end of each phase; the oracle
-    # calls the map's branch functions and checks every step.
+    # calls the map's branch functions and checks every step. A
+    # non-finite r is refused when the map is built.
+    if not math.isfinite(r):
+        with pytest.raises(ValueError, match=f"^r must be a finite number, got {r!r}$"):
+            logistic_map(r)
+        return
     assert_matches_oracle(logistic_map(r), x0, n, burn_in, seed)
 
 

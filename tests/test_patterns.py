@@ -155,3 +155,15 @@ def test_encoding_reads_live_cells_not_the_box():
     # The box holds 10**10 cells; only its two live cells are read.
     g = Grid([(-7, 3), (10**5 - 7, 10**5 + 3)])
     assert encode_pattern(g) == "x = 100001, y = 100001, rule = B3/S23\no100000$100000bo!"
+
+
+def test_the_decoders_build_their_grids_without_the_checking_constructor(monkeypatch):
+    # A decoder makes int coordinates and states 1..24 itself, so it hands
+    # its cells to Grid._trusted and the traced Grid.__init__ never runs.
+    def refuse(self, *args, **kwargs):
+        raise AssertionError("Grid.__init__ called")
+
+    monkeypatch.setattr(Grid, "__init__", refuse)
+    assert decode_pattern("x = 3, y = 2\nobB$o!")[0].cells == {(0, 0): 1, (2, 0): 2, (0, 1): 1}
+    assert decode_pattern("O.O\n.O\n", "plaintext")[0].cells == {(0, 0): 1, (2, 0): 1,
+                                                                  (1, 1): 1}

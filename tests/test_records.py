@@ -11,7 +11,10 @@ assignment and deletion, ``copy.copy`` and ``pickle`` round trips, and
 ``_replace`` against ``dataclasses.replace``. ``Strategy`` and
 ``IterativeMap`` now keep tuples and ``Strategy`` checks each weight
 through ``as_real``, so the draws give those two tuples and real
-weights; the tests after the table pin what changed.
+weights; the tests after the table pin what changed. The twins of the
+records whose real-valued fields now go through ``as_finite`` (a
+weight, a branch probability, the two rates) call it too, so the
+messages compared are ``as_finite``'s.
 """
 
 from __future__ import annotations
@@ -35,7 +38,7 @@ from hypothesis import strategies as st
 
 import complexkit
 from complexkit import automaton, cas, complexity, dynamics, evolution
-from complexkit._shared import _Record, as_integer, as_real
+from complexkit._shared import _Record, as_finite, as_integer
 from complexkit.automaton import RuleError
 from complexkit.grid import Grid, Topology
 
@@ -90,8 +93,7 @@ class Strategy:
             if len(self.weights) != len(self.rules):
                 raise ValueError("need one weight per rule")
             for w in self.weights:
-                if not math.isfinite(w) or w < 0:
-                    raise ValueError(f"weights must be finite and non-negative, got {w}")
+                as_finite("weight", w, 0)
 
 
 @dataclass(frozen=True)
@@ -169,14 +171,7 @@ class IterativeMap:
             raise ValueError("a map needs at least one branch")
         total = 0.0
         for b in self.branches:
-            try:
-                valid = b.probability >= 0
-            except TypeError:
-                valid = False
-            if not valid:
-                raise ValueError(
-                    f"branch probabilities must be numbers >= 0, got {b.probability!r}")
-            total += b.probability
+            total += as_finite("branch probability", b.probability, 0)
         if abs(total - 1.0) > 1e-12:
             raise ValueError(f"branch probabilities must sum to 1, got {total}")
 
@@ -209,9 +204,8 @@ class EvolutionConfig:
     def __post_init__(self):
         population_size = as_integer("population size", self.population_size, 2)
         as_integer("generations", self.generations, 0)
-        if not (0.0 <= as_real("mutation rate", self.mutation_rate) <= 1.0
-                and 0.0 <= as_real("crossover rate", self.crossover_rate) <= 1.0):
-            raise ValueError("rates must lie in [0, 1]")
+        as_finite("mutation rate", self.mutation_rate, 0, 1)
+        as_finite("crossover rate", self.crossover_rate, 0, 1)
         if as_integer("tournament size", self.tournament_size, 1) > population_size:
             raise ValueError("tournament size must lie in [1, population size]")
         if as_integer("elitism count", self.elitism, 0) >= population_size:

@@ -141,6 +141,24 @@ def test_only_shared_and_grid_use_operator_index():
     assert users == {"_shared", "grid"}
 
 
+def test_only_shared_reads_float_info_and_only_shared_and_grid_catch_a_type_error():
+    # ``_shared.as_finite`` is the one finite-number check and
+    # ``as_integer`` turns a count's TypeError into a ValueError; ``grid``
+    # also catches one for each ``Grid`` coordinate pair, per cell.
+    float_info, type_error = set(), set()
+    for name, tree in _trees().items():
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Attribute) and node.attr == "float_info"
+                    or isinstance(node, ast.alias) and node.name == "float_info"):
+                float_info.add(name)
+            elif isinstance(node, ast.ExceptHandler) and node.type is not None:
+                caught = node.type.elts if isinstance(node.type, ast.Tuple) else [node.type]
+                if any(isinstance(t, ast.Name) and t.id == "TypeError" for t in caught):
+                    type_error.add(name)
+    assert float_info == {"_shared"}
+    assert type_error == {"_shared", "grid"}
+
+
 def test_only_grid_reads_a_grids_internal_store():
     readers = {name for name, tree in _trees().items() for node in ast.walk(tree)
                if isinstance(node, ast.Attribute) and node.attr in ("_packed", "_cells")}
@@ -149,7 +167,7 @@ def test_only_grid_reads_a_grids_internal_store():
 
 def test_each_shared_helper_is_defined_in_one_module():
     homes = {"ScenarioError": "_shared", "checked": "_shared", "as_integer": "_shared",
-             "weighted_index": "_shared",
+             "as_finite": "_shared", "weighted_index": "_shared",
              "coarse_grain": "grid", "_anchor_mask": "grid", "_any_blocks": "grid",
              "_state_keys": "grid", "run_scenario": "cas"}
     for path in Path(complexkit.__file__).parent.glob("*.py"):
