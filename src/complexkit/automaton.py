@@ -19,14 +19,16 @@ bounded however far apart its cells are. Both engines read each
 neighborhood from the grid's ``Topology``, so square and hex share one
 code path.
 
-The packed layout belongs to ``grid``: ``grid._pack`` builds it and
-``grid._ring`` masks its edge cells. This module steps the bits and
-decides when to re-pack. A two-state generation stepped on the board is
-yielded as a ``Grid`` over the immutable packed tuple that the next step
-reads, and decodes its cells only when a caller first reads them, so a
-caller that reads only ``population`` pays for no decode. The engine
-itself decodes a generation only to re-pack it or to hand it to the set
-engine.
+The packed layout belongs to ``grid``: ``grid._pack`` builds it from
+coordinates, ``grid._relayout`` re-packs it on the bits and ``grid._ring``
+masks its edge cells. This module steps the bits and decides when to
+re-pack. A two-state generation stepped on the board is yielded as a
+``Grid`` over the immutable packed tuple that the next step reads, and
+decodes its cells only when a caller first reads them, so a caller that
+reads only ``population`` pays for no decode. A packed generation 0, as
+the codecs decode a two-state pattern, is re-packed on its bits too. The
+engine itself decodes a two-state generation only to hand it to the set
+engine, and a coloured run's board bits only to colour them.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ from collections import Counter
 from typing import Collection, Iterator
 
 from ._shared import _Record, as_integer
-from .grid import Coordinate, Grid, Topology, _decode, _pack, _ring
+from .grid import Coordinate, Grid, Topology, _decode, _layout, _pack, _relayout, _ring
 
 
 class RuleError(ValueError):
@@ -226,18 +228,21 @@ def _generations(grid: Grid, rule: RuleSet, generations: int) -> Iterator[Grid]:
     yield grid
     topology = grid.topology
     offsets = topology.offsets
-    # Newborns of an all-1 grid have only neighbors of color 1.
-    colorless = set(grid.cells.values()) <= {1}
-    prev, packed, ring = grid, None, 0
+    # Newborns of an all-1 grid have only neighbors of color 1; a packed
+    # grid is all 1.
+    packed = _layout(grid)
+    colorless = packed is not None or set(grid.cells.values()) <= {1}
+    prev, ring = grid, -1  # re-pack generation 0's layout for its margin
     for _ in range(generations):
-        # Re-pack when there is no layout or a cell has reached its ring. A
-        # generation too sparse to pack steps on the set, and the next one
-        # tries to pack again, so the engine depends on ``prev`` alone. A
-        # packed ``prev`` decodes here, once, and only to re-pack or to step
-        # on the set; the keys of ``prev.cells`` are its live cells, with
-        # O(1) lookup.
+        # Re-pack when a cell has reached the ring, on the bits, or when
+        # there is no layout, from the coordinates. A generation too sparse
+        # to pack steps on the set, and the next one tries to pack again,
+        # so the engine depends on ``prev`` alone. The keys of
+        # ``prev.cells`` are its live cells, with O(1) lookup; a packed
+        # ``prev`` decodes them only to step on the set.
         if packed is None or packed[0] & ring:
-            packed = _pack(prev.cells, _MARGIN, _SPARSE)
+            packed = (_pack(prev.cells, _MARGIN, _SPARSE) if packed is None
+                      else _relayout(packed, _MARGIN, _SPARSE))
             if packed is not None:
                 ring = _ring(packed[1], packed[2])
         if packed is None:

@@ -19,7 +19,9 @@ key. A verb declares only the output flags it writes (``--out``,
 success, 1 domain error, 2 I/O, usage, or parse error. Metrics are CSV
 only and never share a stream with log text. ``dynamics sweep`` computes
 every row before it opens its output, so a sweep that fails at some ``r``
-writes no file, and its error line names that ``r``.
+writes no file, and its error line names that ``r``; a sweep whose
+``--r-step`` would give more than 100,000 rows, or not move ``r`` at all,
+exits 2 before the first row.
 """
 
 from __future__ import annotations
@@ -38,7 +40,7 @@ from .complexity import _check_scales, complexity_profile
 from .coevolve import episode_fitness
 from .dynamics import DivergenceError, divergence_rate, logistic_map
 from .evolution import EvolutionConfig, evolve
-from .grid import Grid, Topology
+from .grid import Grid, Topology, _layout
 from .patterns import (
     PatternFormatError,
     UnsupportedFormatError,
@@ -220,7 +222,7 @@ def _load_pattern(args) -> tuple[Grid, RuleSet]:
     if states is not None:
         rule = RuleSet(birth=rule.birth, survival=rule.survival, states=states)
     if topology is Topology.HEX:
-        grid = Grid._trusted(dict(grid.cells), topology)
+        grid = Grid._trusted(_layout(grid) or dict(grid.cells), topology)
     return grid, rule
 
 
@@ -321,6 +323,10 @@ def _cmd_dynamics_lyapunov(args) -> int:
     return 0
 
 
+# Most rows a sweep may have: floor((r_to - r_from) / r_step) + 1.
+_MAX_SWEEP_ROWS = 100_000
+
+
 def _cmd_dynamics_sweep(args) -> int:
     path = _csv_path(args)
     if args.r_from is None or args.r_to is None or args.r_step is None:
@@ -329,6 +335,13 @@ def _cmd_dynamics_sweep(args) -> int:
         raise ScenarioError("--r-step must be positive")
     if args.r_from > args.r_to + 1e-12:
         raise ScenarioError(f"--r-to {args.r_to} is below --r-from {args.r_from}")
+    # Every row is held until the last, so refuse a sweep that would not
+    # end, or end only after more rows than it may hold.
+    if args.r_from + args.r_step == args.r_from:
+        raise ScenarioError(f"--r-step {args.r_step} does not move --r-from {args.r_from}")
+    if (args.r_to - args.r_from) / args.r_step >= _MAX_SWEEP_ROWS:
+        raise ScenarioError(f"--r-step {args.r_step} gives more than {_MAX_SWEEP_ROWS} rows "
+                            f"from --r-from {args.r_from} to --r-to {args.r_to}")
     rows = []
     k = 0
     r = args.r_from

@@ -1,23 +1,29 @@
 """Sparse unbounded lattices (square Moore and hexagonal axial).
 
 A grid holds only its non-dead cells, so the lattice itself has no edges.
-It keeps them in a coordinate -> state map, or, for a two-state generation
-that the automaton stepped as bits, as a packed layout: the map is then
-decoded on first read, and the population and truthiness come from the
-bit count without a decode. Square coordinates are (x, y) cell offsets;
-hexagonal coordinates are axial (q, r) pairs on a honeycomb. ``Grid``
-takes each coordinate as exactly two integers (``operator.index``), so a
-float, a string or a longer tuple is refused, not truncated.
+It keeps them in a coordinate -> state map, or, for a two-state pattern
+that a codec decoded or a generation that the automaton stepped as bits,
+as a packed layout: the map is then decoded on first read, and the
+population, truthiness and bounding box come from the bits without a
+decode. Square coordinates are (x, y) cell offsets; hexagonal coordinates
+are axial (q, r) pairs on a honeycomb. ``Grid`` takes each coordinate as
+exactly two integers (``operator.index``), so a float, a string or a
+longer tuple is refused, not truncated.
 
-This module owns the packed layout: ``_pack`` builds it, ``_decode``
-reads it, ``_ring`` masks its edge cells and ``_align`` lays it out again
-on absolute byte columns. The automaton only steps the bits and decides
-when to re-pack. ``_key`` and ``_packed_key`` give a cell set a hashable
-key that does not depend on how the set is held, and ``_state_keys``
-gives the complexity census a grid's key at each of its scales, reading a
-packed grid's layout without decoding it. ``coarse_grain`` maps a square
-grid to the grid of its blocks at one scale (``cas.observe`` uses it);
-the scale must be an integer >= 1, through ``_shared.as_integer``.
+This module owns the packed layout. ``_pack`` builds it from coordinates
+and ``_from_runs`` from a codec's runs, one int per row; ``_decode``
+reads its cells and ``_row_runs`` its rows, a byte at a time, for the
+encoders; ``_ring`` masks its edge cells; ``_relayout`` lays it out again
+on the bits, with a margin for the automaton's next steps or on absolute
+byte columns for the census; ``_layout`` hands a grid's layout to the
+modules that step, encode or re-topologise it. The automaton only steps
+the bits and decides when to re-pack. ``_key`` and ``_packed_key`` give a
+cell set a hashable key that does not depend on how the set is held, and
+``_state_keys`` gives the complexity census a grid's key at each of its
+scales, reading a packed grid's layout without decoding it.
+``coarse_grain`` maps a square grid to the grid of its blocks at one
+scale (``cas.observe`` uses it); the scale must be an integer >= 1,
+through ``_shared.as_integer``.
 """
 
 from __future__ import annotations
@@ -73,6 +79,11 @@ _Packed = tuple[int, int, int, int, int]  # (bits, stride, height, ox, oy)
 
 # Set-bit offsets of each byte value, lowest bit first.
 _BYTE_BITS = tuple(tuple(k for k in range(8) if v >> k & 1) for v in range(256))
+
+# Most layout cells per live cell for which a decoded pattern is packed; a
+# sparser one is held as coordinates, so its size follows the population
+# and not the box.
+_DECODE_SPARSE = 1024
 
 
 def _box(coords: Collection[Coordinate]) -> tuple[Coordinate, Coordinate] | None:
@@ -133,24 +144,130 @@ def _decode(bits: int, stride: int, height: int, ox: int, oy: int) -> list[Coord
     return out
 
 
-def _align(packed: _Packed, unit: int) -> _Packed:
-    """The cells of ``packed`` laid out again with the origin and the stride
-    multiples of ``unit``, itself a multiple of 8."""
+def _layout(grid: Grid) -> _Packed | None:
+    """The packed layout that holds ``grid``'s cells, or None if it holds
+    a coordinate map. A layout does not depend on the topology."""
+    return grid._packed
+
+
+def _from_runs(runs: list[int]) -> Grid:
+    """The square grid of ``runs``, a flat list of (y, x, n, state) for
+    each run of ``n`` cells of ``state`` from (x, y) on, in reading order
+    and none overlapping. It is packed, one int per row, when every state
+    is 1 and its box holds at most ``_DECODE_SPARSE`` cells per live cell,
+    which is decided before anything the size of the box is built; else it
+    maps the cells' coordinates in the order of the runs."""
+    count = end = 0
+    min_x = runs[1] if runs else 0
+    two_state = True
+    for _, x, n, state in zip(*[iter(runs)] * 4):
+        count += n
+        min_x = x if x < min_x else min_x
+        end = x + n if x + n > end else end
+        two_state = two_state and state == 1
+    if runs:
+        min_y, height = runs[0], runs[-4] - runs[0] + 1
+        stride = -(-(end - min_x) // 8) * 8
+    if not two_state or not runs or stride * height > _DECODE_SPARSE * count:
+        cells = {(x + i, y): s for y, x, n, s in zip(*[iter(runs)] * 4) for i in range(n)}
+        return Grid._trusted(cells, Topology.SQUARE)
+    rows: dict[int, int] = {}
+    for y, x, n, _ in zip(*[iter(runs)] * 4):
+        rows[y] = rows.get(y, 0) | ((1 << n) - 1) << x - min_x
+    row_bytes = stride // 8
+    data = bytearray(row_bytes * height)
+    for y, row in rows.items():
+        start = (y - min_y) * row_bytes
+        data[start : start + row_bytes] = row.to_bytes(row_bytes, "little")
+    return Grid._trusted((int.from_bytes(data, "little"), stride, height, min_x, min_y),
+                         Topology.SQUARE)
+
+
+def _row_runs(packed: _Packed, min_x: int, min_y: int) -> Iterator[tuple[int, list[list[int]]]]:
+    """Each row of ``packed`` that holds a live cell, top to bottom: its y
+    and its [state, length] runs from x = 0 (dead gaps are state 0),
+    relative to (min_x, min_y), read off the layout a byte at a time."""
     bits, stride, height, ox, oy = packed
-    left, top = ox % unit, oy % unit
-    width = -(-(stride + left) // unit) * unit
-    if width != stride:
-        # Copy each byte column to its place in the wider rows, ``left // 8``
-        # bytes on, then shift the rest of ``left``: the bytes after each
-        # row take the carry, so no cell on the last column wraps into the
-        # next row.
-        old_bytes, new_bytes, lead = stride // 8, width // 8, left // 8
-        data = bits.to_bytes(old_bytes * height, "little")
-        out = bytearray(new_bytes * height)
-        for k in range(old_bytes):
+    row_bytes = stride // 8
+    data = bits.to_bytes(row_bytes * height, "little")
+    blank = bytes(row_bytes)
+    for start in range(0, len(data), row_bytes):
+        row = data[start : start + row_bytes]
+        if row == blank:
+            continue
+        runs: list[list[int]] = []
+        end, x0 = 0, ox - min_x
+        for byte in row:
+            if byte:
+                # Each run of set bits in the byte starts on a bit whose lower
+                # neighbour is clear and ends on one whose higher neighbour is.
+                for a, b in zip(_BYTE_BITS[byte & ~(byte << 1) & 255],
+                                _BYTE_BITS[byte & ~(byte >> 1)]):
+                    if x0 + a > end:
+                        runs.append([0, x0 + a - end])
+                        runs.append([1, b - a + 1])
+                    elif runs:  # the live run that ends at ``end`` goes on
+                        runs[-1][1] += b - a + 1
+                    else:
+                        runs.append([1, b - a + 1])
+                    end = x0 + b + 1
+            x0 += 8
+        yield oy - min_y + start // row_bytes, runs
+
+
+def _extent(bits: int, stride: int) -> tuple[int, int, int, int]:
+    """(top, bottom, first, last): the first and last row and column that
+    hold a live cell of the non-empty layout ``bits``, ``stride`` wide."""
+    top = ((bits & -bits).bit_length() - 1) // stride
+    bottom = (bits.bit_length() - 1) // stride
+    # OR every row into the top one to find the columns in use.
+    rows, folded = 1, bits >> top * stride
+    while rows <= bottom - top:
+        folded |= folded >> rows * stride
+        rows *= 2
+    used = folded & ((1 << stride) - 1)
+    return top, bottom, (used & -used).bit_length() - 1, used.bit_length() - 1
+
+
+def _relayout(packed: _Packed, margin: int, sparse: float, unit: int = 1) -> _Packed | None:
+    """The cells of ``packed`` laid out again with ``margin`` empty cells
+    around them, the origin on multiples of ``unit`` (1 or a multiple of 8)
+    and the stride a multiple of lcm(8, ``unit``); None if there are none
+    or the layout would hold more than ``sparse`` cells per live cell.
+    With ``unit`` 1 it is ``_pack`` of the cells, read off the bits."""
+    bits, stride, height, ox, oy = packed
+    if not bits:
+        return None
+    top, bottom, first, last = _extent(bits, stride)
+    nox = (ox + first - margin) // unit * unit
+    noy = (oy + top - margin) // unit * unit
+    step = math.lcm(8, unit)
+    width = -(-(ox + last + 1 + margin - nox) // step) * step
+    rows = oy + bottom + 1 + margin - noy
+    if width * rows > sparse * bits.bit_count():
+        return None
+    bits >>= top * stride
+    move = ox - nox  # columns each cell moves right; left when negative
+    if width == stride:
+        bits = bits << move if move >= 0 else bits >> -move
+    else:
+        if move < 0:
+            # Move left by the part of a byte first: every live column is
+            # at least -move, so no cell crosses the start of its row.
+            bits >>= -move % 8
+            move += -move % 8
+        # Copy each byte column ``lead`` bytes on in the new rows, then shift
+        # the rest of ``move``: the bytes after each row take the carry, so
+        # no cell on the last column wraps into the next row.
+        lead, part = divmod(move, 8)
+        old_bytes, new_bytes = stride // 8, width // 8
+        span = bottom - top + 1
+        data = bits.to_bytes(old_bytes * span, "little")
+        out = bytearray(new_bytes * span)
+        for k in range(max(0, -lead), min(old_bytes, new_bytes - lead)):
             out[lead + k :: new_bytes] = data[k::old_bytes]
-        bits = int.from_bytes(out, "little") << (left & 7)
-    return bits << top * width, width, height + top, ox - left, oy - top
+        bits = int.from_bytes(out, "little") << part
+    return bits << (oy + top - noy) * width, width, rows, nox, noy
 
 
 # Most bytes a dense state key may hold per cell of its set. A sparser set
@@ -187,34 +304,26 @@ def _key(blocks: Collection[Coordinate], scale: int) -> Hashable:
 
 
 def _packed_key(packed: _Packed, scale: int) -> Hashable:
-    """``_key`` of the cells of ``packed``, a layout from ``_align`` whose
-    cells all sit on rows ``scale`` apart from absolute row 0, read off its
-    bits without a decode."""
+    """``_key`` of the cells of ``packed``, a layout from ``_relayout``
+    on a unit that ``scale`` divides, whose cells all sit on rows ``scale``
+    apart from absolute row 0, read off its bits without a decode."""
     bits, stride, height, ox, oy = packed
     if not bits:
         return None
-    top = ((bits & -bits).bit_length() - 1) // stride
-    span = (bits.bit_length() - 1) // stride - top + 1
-    bits >>= top * stride
-    # OR every row into row 0 to find the columns in use.
-    rows, folded = 1, bits
-    while rows < span:
-        folded |= folded >> rows * stride
-        rows *= 2
-    used = folded & ((1 << stride) - 1)
-    first, last = ((used & -used).bit_length() - 1) // 8, (used.bit_length() - 1) // 8
+    top, bottom, first, last = _extent(bits, stride)
+    span, first, last = bottom - top + 1, first // 8, last // 8
     width = last - first + 1
     if width * ((span - 1) // scale + 1) > _KEY_BYTES * bits.bit_count():
         return frozenset(_decode(*packed))
     row_bytes = stride // 8
-    data = bits.to_bytes(span * row_bytes, "little")
+    data = (bits >> top * stride).to_bytes(span * row_bytes, "little")
     columns = (data[j :: row_bytes * scale] for j in range(first, last + 1))
     return ox + 8 * first, oy + top, width, b"".join(columns)
 
 
 def _anchor_mask(stride: int, height: int, scale: int) -> int:
-    """The cells at multiples of ``scale`` of a layout from ``_align``
-    whose unit ``scale`` divides."""
+    """The cells at multiples of ``scale`` of a layout from ``_relayout``
+    on a unit that ``scale`` divides."""
     period = math.lcm(8, scale)
     pattern = sum(1 << x for x in range(0, period, scale)).to_bytes(period // 8, "little")
     row_bytes = stride // 8
@@ -224,7 +333,7 @@ def _anchor_mask(stride: int, height: int, scale: int) -> int:
 
 def _any_blocks(bits: int, stride: int, height: int, finer: int, scale: int) -> int:
     """The live "any" blocks at ``scale``, each on its top-left cell, of
-    ``bits``: a layout from ``_align`` whose unit ``scale`` divides,
+    ``bits``: a layout from ``_relayout`` on a unit that ``scale`` divides,
     holding the live blocks at ``finer`` on their top-left cells."""
     # "Any" blocks nest: OR the anchors of the finer scale that share a
     # block into its top-left cell, along each row and then down each
@@ -248,7 +357,7 @@ def _state_keys(grid: Grid, scales: Sequence[int]) -> list[Hashable]:
     Blocks are anchored at absolute (0, 0): the block of cell (x, y) at
     scale s is (x // s, y // s). Each key is ``_key`` of the blocks, so it
     depends only on the cells and not on how the grid holds them. A packed
-    grid is coarse-grained on its layout: ``_align`` lays the bits out
+    grid is coarse-grained on its layout: ``_relayout`` lays the bits out
     again on absolute columns, ``_any_blocks`` ORs shifted copies of them
     and keeps every s-th column and row, each scale starting from the
     previous scale's bits, and ``_packed_key`` reads the key off them. Once
@@ -265,10 +374,10 @@ def _state_keys(grid: Grid, scales: Sequence[int]) -> list[Hashable]:
     packed = grid._packed
     # A scale fits when its alignment unit does: the aligned layout is then
     # at most a few times the size of the generation's own.
-    fit = [] if packed is None else [
+    fit = [] if packed is None or not packed[0] else [
         s for s in scales if math.lcm(8, s) <= min(packed[1], packed[2])]
     if fit:
-        bits, stride, height, ox, oy = _align(packed, math.lcm(8, fit[-1]))
+        bits, stride, height, ox, oy = _relayout(packed, 0, math.inf, math.lcm(8, fit[-1]))
         for s in fit:
             bits = _any_blocks(bits, stride, height, finer, s)
             keys.append(_packed_key((bits, stride, height, ox, oy), s))
@@ -384,7 +493,13 @@ class Grid:
 
     def bounding_box(self) -> tuple[Coordinate, Coordinate] | None:
         """((min_x, min_y), (max_x, max_y)) of the live cells; None if empty."""
-        return _box(self.cells)
+        if self._packed is None:
+            return _box(self._cells)
+        bits, stride, _, ox, oy = self._packed
+        if not bits:
+            return None
+        top, bottom, first, last = _extent(bits, stride)
+        return (ox + first, oy + top), (ox + last, oy + bottom)
 
     def translate(self, d: Coordinate) -> "Grid":
         """Shift every live cell by ``d``, preserving states."""

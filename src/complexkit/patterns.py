@@ -4,6 +4,13 @@ Both codecs are square-lattice only and byte-exact: encoding a canonical
 grid always produces the same bytes, and decode(encode(g)) recovers the
 canonicalized grid. RLE carries an optional rule in its header; colors
 1..24 use the letters A..X (color 1 is written as ``o``).
+
+A decoder collects the runs of live cells and ``grid._from_runs`` builds
+the grid: packed, one int per row, for a two-state pattern whose box is
+dense enough, and a coordinate map for a coloured or a sparse one. An
+encoder reads a packed grid's rows off its layout (``grid._row_runs``)
+and sorts the cells of any other, so a two-state run goes from RLE in to
+RLE out without a coordinate map.
 """
 
 from __future__ import annotations
@@ -14,7 +21,7 @@ from operator import itemgetter
 from typing import Iterator
 
 from .automaton import CONWAY_LIFE, RuleSet
-from .grid import Coordinate, Grid, Topology
+from .grid import Grid, Topology, _from_runs, _layout, _row_runs
 
 
 class PatternFormatError(ValueError):
@@ -29,6 +36,9 @@ class PatternFormatError(ValueError):
 class UnsupportedFormatError(ValueError):
     """Grid cannot be represented in the requested format."""
 
+
+_PLAINTEXT_OTHER = re.compile(r"[^.O]")
+_PLAINTEXT_LIVE = re.compile(r"O+")
 
 _HEADER_RE = re.compile(
     r"^x\s*=\s*(\d+)\s*,\s*y\s*=\s*(\d+)(?:\s*,\s*rule\s*=\s*(\S+))?\s*$"
@@ -57,7 +67,7 @@ def _decode_rle(text: str) -> tuple[Grid, RuleSet | None]:
     else:
         raise PatternFormatError("missing '!' terminator", len(lines), 1)
 
-    cells: dict[Coordinate, int] = {}
+    runs: list[int] = []  # y, x, length and state of each live run
     x = y = 0
     count = 0
     have_count = False
@@ -80,15 +90,13 @@ def _decode_rle(text: str) -> tuple[Grid, RuleSet | None]:
             if ch == "b":
                 x += n
             elif ch == "o" or "A" <= ch <= "X":
-                state = 1 if ch == "o" else ord(ch) - ord("A") + 1
-                for _ in range(n):
-                    cells[(x, y)] = state
-                    x += 1
+                runs += y, x, n, 1 if ch == "o" else ord(ch) - ord("A") + 1
+                x += n
             elif ch == "$":
                 y += n
                 x = 0
             elif ch == "!":
-                return Grid._trusted(cells, Topology.SQUARE), rule
+                return _from_runs(runs), rule
             else:
                 raise PatternFormatError(f"unknown symbol {ch!r}", li + 1, col)
     raise PatternFormatError("missing '!' terminator", len(lines), 1)
@@ -112,8 +120,13 @@ def _count(n: int) -> str:
 def _rows(grid: Grid, min_x: int, min_y: int) -> Iterator[tuple[int, list[list[int]]]]:
     """Each row that holds a live cell, top to bottom: its y and its [state,
     length] runs from x = 0 (dead gaps are state 0), relative to (min_x,
-    min_y). Sorting the live cells once makes the cost follow the
-    population, not the box."""
+    min_y). A packed grid's rows are read off its layout (``_row_runs``);
+    the live cells of any other are sorted once, so that the cost follows
+    the population, not the box."""
+    packed = _layout(grid)
+    if packed is not None:
+        yield from _row_runs(packed, min_x, min_y)
+        return
     cells = sorted((y - min_y, x - min_x, s) for (x, y), s in grid.cells.items())
     for y, row in groupby(cells, key=itemgetter(0)):
         runs, end = [], 0
@@ -146,22 +159,21 @@ def _encode_rle(grid: Grid, rule: RuleSet | None) -> str:
 
 
 def _decode_plaintext(text: str) -> tuple[Grid, RuleSet | None]:
-    cells: dict[Coordinate, int] = {}
+    runs: list[int] = []  # as in _decode_rle
     y = 0
     for li, line in enumerate(text.split("\n")):
         if line.startswith("!"):
             continue
         if line.strip() == "" and y == 0:
             continue
-        for ci, ch in enumerate(line.rstrip("\r")):
-            if ch == ".":
-                continue
-            if ch == "O":
-                cells[(ci, y)] = 1
-            else:
-                raise PatternFormatError(f"unknown symbol {ch!r}", li + 1, ci + 1)
+        line = line.rstrip("\r")
+        bad = _PLAINTEXT_OTHER.search(line)
+        if bad:
+            raise PatternFormatError(f"unknown symbol {bad.group()!r}", li + 1, bad.start() + 1)
+        for live in _PLAINTEXT_LIVE.finditer(line):
+            runs += y, live.start(), live.end() - live.start(), 1
         y += 1
-    return Grid._trusted(cells, Topology.SQUARE), None
+    return _from_runs(runs), None
 
 
 def _encode_plaintext(grid: Grid) -> str:

@@ -23,7 +23,9 @@ first generation and a guard against a zero shift. The weighted draw
 reference is ``weighted_index`` as it was with an ``enumerate`` scan,
 and the episode reference is ``episode_fitness`` as it was before it
 prepared its episodes: it builds the records of every genome's episode
-and averages ``run_scenario``'s ``mean_response`` column.
+and averages ``run_scenario``'s ``mean_response`` column. The coordinate
+decoders are the RLE and plaintext decoders as they were before they
+built packed rows: they write each live cell into a coordinate dict.
 """
 
 import logging
@@ -64,6 +66,7 @@ from complexkit.evolution import (
     select,
 )
 from complexkit.grid import Coordinate, Grid
+from complexkit.patterns import _HEADER_RE, PatternFormatError
 
 MOORE = tuple((dx, dy) for dx in (-1, 0, 1) for dy in (-1, 0, 1) if (dx, dy) != (0, 0))
 # Axial hexagonal neighborhood of (q, r): (q +- 1, r), (q, r +- 1),
@@ -515,3 +518,84 @@ def records_episode_fitness(rules, n_agents=5, ticks=20, episode_seed=7, stimulu
         return sum(means) / len(means)
 
     return fitness
+
+
+def coordinate_decode_rle(text: str) -> tuple[Grid, RuleSet | None]:
+    """``patterns._decode_rle`` as it was, writing every cell into a dict."""
+    lines = text.split("\n")
+    rule: RuleSet | None = None
+    body_start = 0
+    for i, line in enumerate(lines):
+        stripped = line.strip()
+        if not stripped or stripped.startswith("#"):
+            continue
+        m = _HEADER_RE.match(stripped)
+        if m:
+            if m.group(3):
+                try:
+                    rule = RuleSet.parse(m.group(3))
+                except ValueError as exc:
+                    raise PatternFormatError(str(exc), i + 1, 1) from None
+            body_start = i + 1
+        else:
+            body_start = i  # headerless body
+        break
+    else:
+        raise PatternFormatError("missing '!' terminator", len(lines), 1)
+
+    cells: dict[Coordinate, int] = {}
+    x = y = 0
+    count = 0
+    have_count = False
+    for li in range(body_start, len(lines)):
+        for ci, ch in enumerate(lines[li]):
+            col = ci + 1
+            if ch.isspace():
+                if have_count:
+                    raise PatternFormatError("run count split by whitespace", li + 1, col)
+                continue
+            if ch.isdigit():
+                count = count * 10 + int(ch)
+                have_count = True
+                continue
+            n = count if have_count else 1
+            if have_count and count == 0:
+                raise PatternFormatError("run count must be positive", li + 1, col)
+            count = 0
+            have_count = False
+            if ch == "b":
+                x += n
+            elif ch == "o" or "A" <= ch <= "X":
+                state = 1 if ch == "o" else ord(ch) - ord("A") + 1
+                for _ in range(n):
+                    cells[(x, y)] = state
+                    x += 1
+            elif ch == "$":
+                y += n
+                x = 0
+            elif ch == "!":
+                return Grid(cells), rule
+            else:
+                raise PatternFormatError(f"unknown symbol {ch!r}", li + 1, col)
+    raise PatternFormatError("missing '!' terminator", len(lines), 1)
+
+
+def coordinate_decode_plaintext(text: str) -> tuple[Grid, None]:
+    """``patterns._decode_plaintext`` as it was, writing every cell into a
+    dict."""
+    cells: dict[Coordinate, int] = {}
+    y = 0
+    for li, line in enumerate(text.split("\n")):
+        if line.startswith("!"):
+            continue
+        if line.strip() == "" and y == 0:
+            continue
+        for ci, ch in enumerate(line.rstrip("\r")):
+            if ch == ".":
+                continue
+            if ch == "O":
+                cells[(ci, y)] = 1
+            else:
+                raise PatternFormatError(f"unknown symbol {ch!r}", li + 1, ci + 1)
+        y += 1
+    return Grid(cells), None

@@ -3,6 +3,7 @@ import copy
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 import tempfile
@@ -12,11 +13,12 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from complexkit import cli, grid
 from complexkit.cli import execute
-from complexkit.grid import Grid
-from complexkit.patterns import decode_pattern
+from complexkit.grid import Grid, Topology, _layout
+from complexkit.patterns import decode_pattern, encode_pattern
 
-from oracles import dense_run
+from oracles import HEX, dense_run
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -143,6 +145,49 @@ def test_hex_pattern_output_refused_before_the_run(tmp_path, glider_file, capsys
     assert code == 1
     assert capsys.readouterr().err == "error: pattern codecs support square grids only\n"
     assert not target.exists() and not metrics.exists()
+
+
+def soup_file(path, size, seed):
+    rng = random.Random(seed)
+    cells = {(x, y) for y in range(size) for x in range(size) if rng.random() < 0.35}
+    path.write_text(encode_pattern(Grid(cells)))
+    return decode_pattern(path.read_text())[0].cells.keys()
+
+
+def refuse_decodes(monkeypatch):
+    def refuse(*layout):
+        raise AssertionError("a packed layout was decoded")
+
+    monkeypatch.setattr(grid, "_decode", refuse)
+
+
+def test_a_soup_runs_from_rle_to_rle_and_frames_without_a_decode(tmp_path, monkeypatch):
+    cells = soup_file(tmp_path / "soup.rle", 100, 26)
+    history = dense_run(set(cells), 90)
+    refuse_decodes(monkeypatch)
+    assert execute([
+        "life", "run", "--pattern", str(tmp_path / "soup.rle"), "--gens", "90", "--seed", "1",
+        "--out", str(tmp_path / "final.rle"), "--frames", str(tmp_path / "frames"),
+        "--metrics", str(tmp_path / "m.csv"),
+    ]) == 0
+    monkeypatch.undo()
+    assert (tmp_path / "final.rle").read_text() == encode_pattern(Grid(history[90]))
+    for i in (0, 45, 90):
+        frame = (tmp_path / "frames" / f"frame_{i:06d}.txt").read_text()
+        assert frame == encode_pattern(Grid(history[i]), "plaintext")
+
+
+def test_a_hex_run_keeps_the_decoded_layout(tmp_path, monkeypatch):
+    cells = soup_file(tmp_path / "soup.rle", 30, 27)
+    argv = ["life", "run", "--pattern", str(tmp_path / "soup.rle"), "--topology", "hex",
+            "--rule", "B2/S34", "--gens", "40", "--seed", "1", "--metrics", str(tmp_path / "m.csv")]
+    hexed, _ = cli._load_pattern(cli.build_parser().parse_args(argv))
+    assert hexed.topology is Topology.HEX and _layout(hexed) is not None
+    history = dense_run(set(cells), 40, birth={2}, survival={3, 4}, neighborhood=HEX)
+    refuse_decodes(monkeypatch)
+    assert execute(argv) == 0
+    rows = (tmp_path / "m.csv").read_text().split()[1:]
+    assert rows == [f"{i},{len(h)}" for i, h in enumerate(history)]
 
 
 def test_life_classify_lines(tmp_path, capsys):
@@ -335,6 +380,27 @@ def test_a_reversed_sweep_exits_2(tmp_path, capsys, source, bounds):
         argv += ["--config", str(tmp_path / "config.json")]
     assert execute(argv) == 2
     assert capsys.readouterr().err == f"error: --r-to {bounds}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("bounds, message", [
+    (["--r-from", "2.5", "--r-to", "4", "--r-step", "1e-300"],
+     "--r-step 1e-300 does not move --r-from 2.5"),
+    (["--r-from", "2.5", "--r-to", "4", "--r-step", "1.5e-5"],
+     "--r-step 1.5e-05 gives more than 100000 rows from --r-from 2.5 to --r-to 4.0"),
+    (["--r-from=-1.7e308", "--r-to", "1.7e308", "--r-step", "1e300"],
+     "--r-step 1e+300 gives more than 100000 rows from --r-from -1.7e+308 to --r-to 1.7e+308"),
+], ids=["no-move", "too-many-rows", "span-overflows"])
+def test_a_sweep_of_too_many_rows_exits_2_before_the_loop(tmp_path, capsys, monkeypatch, bounds,
+                                                         message):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the sweep started")
+
+    monkeypatch.setattr(cli, "divergence_rate", refuse)
+    out = tmp_path / "sweep.csv"
+    argv = ["dynamics", "sweep", *bounds, "--steps", "10", "--seed", "1", "--out", str(out)]
+    assert execute(argv) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
     assert not out.exists()
 
 

@@ -277,8 +277,8 @@ def key_pairs(cells, scales):
     """At each scale, the key of the blocks of ``cells`` from their
     coordinates and the key read off the bits of their packed layout,
     coarse-grained as ``complexity_profile`` does it."""
-    bits, stride, height, ox, oy = grid._align(grid._pack(cells, 0, 10**9),
-                                               math.lcm(8, scales[-1]))
+    bits, stride, height, ox, oy = grid._relayout(grid._pack(cells, 0, 10**9), 0, math.inf,
+                                                  math.lcm(8, scales[-1]))
     finer, pairs = 1, []
     for s in scales:
         bits = grid._any_blocks(bits, stride, height, finer, s)

@@ -1,11 +1,21 @@
+import math
 import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from complexkit.automaton import RuleSet, run
-from complexkit.grid import Grid, Topology, _decode, _pack, _ring, coarse_grain, neighbors
+from complexkit.automaton import CONWAY_LIFE, RuleSet, _board_step, run
+from complexkit.grid import (
+    Grid,
+    Topology,
+    _decode,
+    _pack,
+    _relayout,
+    _ring,
+    coarse_grain,
+    neighbors,
+)
 from complexkit.patterns import encode_pattern
 
 
@@ -214,3 +224,59 @@ def test_pack_lays_out_decodes_and_rings_any_cell_set(corner, size, margin, spar
     assert ring < 1 << stride * height
     if margin:
         assert not bits & ring
+
+
+@st.composite
+def stepped_layouts(draw):
+    """A packed layout near an origin up to a million cells either side of
+    (0, 0), stepped on the board for a while, as the engine steps it before
+    a re-pack, and then often with cells added on its ring, as births land
+    there."""
+    x0, y0 = draw(st.integers(-10**6, 10**6)), draw(st.integers(-10**6, 10**6))
+    w, h = draw(st.integers(1, 24)), draw(st.integers(1, 24))
+    cells = draw(st.sets(st.tuples(st.integers(x0, x0 + w - 1), st.integers(y0, y0 + h - 1)),
+                         min_size=1, max_size=120))
+    bits, stride, height, ox, oy = _pack(cells, draw(st.integers(0, 13)), 10**9)
+    # Conway Life, HighLife, Seeds and Life without Death.
+    rule = draw(st.sampled_from([CONWAY_LIFE, RuleSet({3, 6}, {2, 3}), RuleSet({2}, ()),
+                                 RuleSet({3}, range(9))]))
+    ring = _ring(stride, height)
+    for _ in range(draw(st.integers(0, 20))):
+        if bits & ring or not bits:
+            break
+        bits = _board_step(bits, stride, Topology.SQUARE.offsets, rule)
+    edges = [i for i in range(stride * height) if ring >> i & 1]
+    for i in draw(st.lists(st.sampled_from(edges), max_size=4)):
+        bits |= 1 << i
+    return bits, stride, height, ox, oy
+
+
+@settings(max_examples=400, deadline=None)
+@given(packed=stepped_layouts(), margin=st.integers(1, 13),
+       sparse=st.one_of(st.sampled_from([16, 64, 1024, 10**9]), st.integers(16, 10**9)))
+def test_relayout_on_the_bits_is_pack_of_the_decoded_cells(packed, margin, sparse):
+    cells = _decode(*packed)
+    assert _relayout(packed, margin, sparse) == _pack(cells, margin, sparse)
+    if cells:
+        # Either side of the sparse cut-off.
+        full = _pack(cells, margin, 10**9)
+        fits = -(-full[1] * full[2] // len(cells))
+        assert _relayout(packed, margin, fits) == full
+        assert _relayout(packed, margin, fits - 1) is None
+
+
+@settings(max_examples=200, deadline=None)
+@given(packed=stepped_layouts(), unit=st.sampled_from([8, 16, 24, 64]))
+def test_relayout_on_a_unit_aligns_the_origin_and_the_stride(packed, unit):
+    cells = _decode(*packed)
+    out = _relayout(packed, 0, math.inf, unit)
+    if not cells:
+        assert out is None
+        return
+    bits, stride, height, ox, oy = out
+    assert ox % unit == 0 and oy % unit == 0 and stride % unit == 0
+    assert _decode(*out) == cells
+    min_x, max_x = min(x for x, _ in cells), max(x for x, _ in cells)
+    min_y, max_y = min(y for _, y in cells), max(y for _, y in cells)
+    assert (ox, oy) == (min_x // unit * unit, min_y // unit * unit)
+    assert max_x - ox < stride <= max_x - ox + unit and height == max_y - oy + 1
