@@ -4,18 +4,18 @@ This module imports no other ``complexkit`` module, so an engine or the
 CLI can use it without loading another engine. ``scenario`` and the CLI
 read every input value through ``checked``, and refuse bad input with
 ``ScenarioError``. Every engine takes each count it is given (a step,
-tick or generation count, a scale, a population or rule count) through
-``as_integer``, the library's one integer check, which refuses a bad
-count with a ``ValueError`` in one of two forms. Every real argument
-that must be finite (a rate, weight, probability, stimulus, gain, ``r``,
-``x0`` or ``delta0``) goes through ``as_finite``, the one finite-number
-check, which refuses a value that is not a real number, one that is not
-finite and one outside its bounds, each with its own message; only
-``EvolutionConfig.target_fitness`` is checked for type alone, through
-``as_real``. ``cas`` and ``dynamics`` draw an index by weight through
-``weighted_index``. Every public record class derives from ``_Record``,
-which gives it a dataclass's repr, equality, hash and immutability
-without importing ``dataclasses``.
+tick or generation count, a scale, a population or rule count, a rule
+index) through ``as_integer``, the library's one integer check, which
+refuses a bad count with a ``ValueError`` in one of two forms. Every
+real argument that must be finite (a rate, weight, probability, draw,
+stimulus, gain, ``r``, ``x0`` or ``delta0``) goes through ``as_finite``,
+the one finite-number check, which refuses a value that is not a real
+number, one that is not finite and one outside its bounds, each with its
+own message; only ``EvolutionConfig.target_fitness`` is checked for type
+alone, through ``as_real``. ``cas`` and ``dynamics`` draw an index by
+weight through ``weighted_index``. Every public record class derives
+from ``_Record``, which gives it a dataclass's repr, equality, hash and
+immutability without importing ``dataclasses``.
 """
 
 from __future__ import annotations

@@ -38,7 +38,7 @@ from collections import Counter
 from typing import Collection, Iterator
 
 from ._shared import _Record, as_integer
-from .grid import Coordinate, Grid, Topology, _decode, _layout, _pack, _relayout, _ring
+from .grid import _SPARSE, Coordinate, Grid, Topology, _decode, _layout, _pack, _relayout, _ring
 
 
 class RuleError(ValueError):
@@ -154,14 +154,6 @@ def _set_step(live: Collection[Coordinate], rule: RuleSet, offsets) -> set[Coord
 # Empty border, in cells, that a re-pack leaves around the live cells: a
 # wider one re-packs less often but makes every step work on more bits.
 _MARGIN = 8
-
-# Most board cells per live cell for which the board steps a generation;
-# sparser generations step on the coordinate set. On a 2-vCPU Xeon with
-# CPython 3.11 a board step costs 1.2-3 ns per cell of its box (less on
-# larger boards) and a set step 1.7-2.5 us per live cell, so the two cross
-# near 1000; a 64x64 soup run 2000 generations takes the same time for any
-# value from 512 to 8192.
-_SPARSE = 1024
 
 
 def _board_step(bits: int, stride: int, offsets, rule: RuleSet) -> int:

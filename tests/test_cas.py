@@ -18,6 +18,7 @@ from complexkit.cas import (
     Population,
     Rule,
     Strategy,
+    _UNIT,
     _counter,
     _draw,
     _lanes,
@@ -108,7 +109,7 @@ def test_fixed_strategy_needs_single_rule():
 def test_nacs_always_selects_rule_zero():
     agent = fixed_agent()
     rng = random.Random(0)
-    assert all(select_rule(agent, rng.random(), rng) == 0 for _ in range(1000))
+    assert all(select_rule(agent, rng.random()) == 0 for _ in range(1000))
 
 
 def test_adaptive_selection_tracks_weights():
@@ -116,7 +117,7 @@ def test_adaptive_selection_tracks_weights():
     agent = reinforce(agent, 1, 9.0)
     assert agent.strategy.weights == (1.0, 10.0)
     rng = random.Random(123)
-    draws = sum(select_rule(agent, 0.0, rng) for _ in range(100_000))
+    draws = sum(select_rule(agent, rng.random()) for _ in range(100_000))
     assert abs(draws / 100_000 - 10 / 11) < 0.01
 
 
@@ -129,14 +130,54 @@ def test_reinforce_floors_at_zero():
 def test_all_zero_weights_degenerate():
     agent = adaptive_agent([0.0, 0.0])
     with pytest.raises(DegenerateStrategyError):
-        select_rule(agent, 0.0, random.Random(0))
+        select_rule(agent, random.Random(0).random())
 
 
 def test_selection_reproducible_for_equal_seed():
     agent = adaptive_agent([1.0, 3.0])
-    a = [select_rule(agent, 0.0, random.Random(42)) for _ in range(10)]
-    b = [select_rule(agent, 0.0, random.Random(42)) for _ in range(10)]
+    a = [select_rule(agent, random.Random(42).random()) for _ in range(10)]
+    b = [select_rule(agent, random.Random(42).random()) for _ in range(10)]
     assert a == b
+
+
+def test_respond_and_reinforce_refuse_a_rule_index_past_the_last_rule():
+    agent = adaptive_agent([1.0, 1.0])
+    for call in (lambda i: respond(agent, 1.0, i), lambda i: reinforce(agent, i, 5.0)):
+        with pytest.raises(ValueError, match=r"^rule index must be < 2, got 2$"):
+            call(2)
+        call(1)
+
+
+def test_select_rule_with_the_engines_draw_names_the_engines_rule():
+    """Over a cas-grid-shaped run of 240 ``tick`` calls, ``select_rule``
+    given an adaptive agent-tick's draw 0 as ``u`` names the rule whose
+    response the engine recorded (each gain is distinct), and
+    ``reinforce`` gives the engine's weights, in all 12,000 of them."""
+    env = build_environment({
+        "seed": 2718,
+        "grid": {"width": 30, "height": 30},
+        "agent_types": [
+            {"name": "drone", "count": 50, "strategy": "fixed",
+             "rule": {"kind": "linear", "gain": 1.0}},
+            {"name": "learner", "count": 50, "strategy": "adaptive",
+             "rules": [{"kind": "linear", "gain": 0.5}, {"kind": "linear", "gain": 2.0},
+                       {"kind": "linear", "gain": -0.25}],
+             "weights": [1, 1, 4]},
+        ],
+    })
+    gains = (0.5, 2.0, -0.25)
+    picks = [0, 0, 0]
+    for _ in range(240):
+        before = {a.id: a for a in env.agents() if a.strategy.adaptive}
+        time, env = env.time, tick(env)
+        for agent in env.agents():
+            if agent.id in before:
+                u = (_draw(_counter(env.seed, time, agent.id), 0) >> 11) * _UNIT
+                idx = select_rule(before[agent.id], u)
+                assert agent.memory[-1] == (1.0, gains[idx])
+                assert agent.strategy == reinforce(before[agent.id], idx, gains[idx]).strategy
+                picks[idx] += 1
+    assert sum(picks) == 12_000 and min(picks) > 0
 
 
 def test_empty_environment_tick():

@@ -8,13 +8,15 @@ import random
 
 import pytest
 
-from complexkit import (CONWAY_LIFE, Environment, EvolutionConfig, Frame, Grid, Individual,
-                        RuleError, RuleSet, classify_pattern, coarse_grain, complexity_profile,
-                        crossover, episode_fitness, info_bits, run, run_scenario, select,
-                        theoretical_bits, weights_from_genome)
+from complexkit import (CONWAY_LIFE, Agent, Environment, EvolutionConfig, Frame, Grid,
+                        Individual, RuleError, RuleSet, Strategy, classify_pattern, coarse_grain,
+                        complexity_profile, crossover, episode_fitness, info_bits, linear_rule,
+                        reinforce, respond, run, run_scenario, select, theoretical_bits,
+                        weights_from_genome)
 
 BLOCK = Grid([(0, 0), (1, 0), (0, 1), (1, 1)])
 POPULATION = [Individual(("0",), 1.0), Individual(("1",), 2.0)]
+AGENT = Agent(0, "t", Strategy((linear_rule(0.5), linear_rule(2.0)), (1.0, 1.0)))
 
 # (call with the count, name in the message, lowest accepted count, the
 # message for a count below it when the entry point keeps its own).
@@ -26,6 +28,8 @@ COUNTS = [
     pytest.param(lambda v: Frame(scale=v), "scale", 1, None, id="Frame"),
     pytest.param(lambda v: run_scenario(Environment((), seed=1), v), "tick count", 0, None,
                  id="run_scenario"),
+    pytest.param(lambda v: respond(AGENT, 1.0, v), "rule index", 0, None, id="respond"),
+    pytest.param(lambda v: reinforce(AGENT, v, 5.0), "rule index", 0, None, id="reinforce"),
     pytest.param(lambda v: complexity_profile([BLOCK], [v]), "scale", 1, None,
                  id="complexity_profile"),
     pytest.param(lambda v: RuleSet(frozenset({3}), frozenset({2}), states=v), "states", 2, None,

@@ -16,7 +16,7 @@ import pytest
 from complexkit import (Agent, Branch, Environment, EvolutionConfig, IterativeMap, Population,
                         Strategy, divergence_rate, divergence_rate_two_trajectory,
                         episode_fitness, iterate, linear_rule, logistic_map, mutate, respond,
-                        run_scenario, tick)
+                        run_scenario, select_rule, tick)
 from complexkit.cas import episode_runner
 
 RULES = (linear_rule(0.5), linear_rule(2.0))
@@ -36,6 +36,8 @@ RUNNER = episode_runner(Environment((Population("p", (ADAPTIVE,)),), seed=1), 3)
 REALS = [
     pytest.param(linear_rule, "gain", 1.5, None, None, id="linear_rule"),
     pytest.param(lambda v: respond(FIXED, v), "stimulus", 0.5, None, None, id="respond"),
+    pytest.param(lambda v: select_rule(ADAPTIVE, v), "draw", 0.5, 1.5,
+                 "draw must lie in [0, 1], got 1.5", id="select_rule"),
     pytest.param(lambda v: run_scenario(_with_stimulus(v), 2), "stimulus", 2, None, None,
                  id="run_scenario"),
     pytest.param(lambda v: tick(_with_stimulus(v)), "stimulus", -0.5, None, None, id="tick"),

@@ -103,12 +103,13 @@ def _trees() -> dict[str, ast.Module]:
 # The ``_``-prefixed names that a module takes from another complexkit
 # module, the leaf ``_shared`` aside: module -> {source module: names}.
 # Each is a decision that the source owns and that the importer builds on
-# directly (the automaton steps ``grid``'s packed layout, the codecs build
-# and read it a row at a time, the CLI moves a decoded layout to the hex
-# lattice, the census keys states by ``grid``'s ``_state_keys``, and the CLI
-# checks ``--scales`` as the census does).
+# directly (the automaton steps ``grid``'s packed layout up to its density
+# cut-off ``_SPARSE``, the codecs build and read it a row at a time, the
+# CLI moves a decoded layout to the hex lattice, the census keys states by
+# ``grid``'s ``_state_keys``, and the CLI checks ``--scales`` as the census
+# does).
 PRIVATE_IMPORTS = {
-    "automaton": {"grid": {"_decode", "_layout", "_pack", "_relayout", "_ring"}},
+    "automaton": {"grid": {"_SPARSE", "_decode", "_layout", "_pack", "_relayout", "_ring"}},
     "cli": {"complexity": {"_check_scales"}, "grid": {"_layout"}},
     "complexity": {"grid": {"_state_keys"}},
     "patterns": {"grid": {"_from_runs", "_layout", "_row_runs"}},
